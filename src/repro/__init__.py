@@ -220,7 +220,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -906,13 +906,7 @@ def _cmd_dse_run(args: argparse.Namespace) -> int:
             ),
         )
     )
-    stats = result.thermal_stats
-    print(
-        f"thermal screen: {stats['incremental']} incremental, "
-        f"{stats['unchanged']} unchanged, "
-        f"{stats['full_rebuilds']} full rebuilds, "
-        f"{stats['conditioning_fallbacks']} conditioning fallbacks"
-    )
+    print(f"thermal screens: {result.thermal_stats['full_rebuilds']}")
     print(f"run directory: {result.out_dir}")
     return 0
 
@@ -1481,8 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-objective design-space exploration",
         description=(
             "Seeded, checkpointable search over (floorplan, PE, policy, "
-            "DVFS) candidates with incremental thermal re-evaluation; "
-            "see docs/DSE.md."
+            "DVFS) candidates; see docs/DSE.md."
         ),
     )
     dse_p.set_defaults(func=lambda _args: (dse_p.print_help(), 0)[1])

@@ -527,39 +527,40 @@ class ServeHandlerRule(LintRule):
 
 @register_rule
 class DseStrategyRule(LintRule):
-    """DSE001 — search strategies share one evaluator, never build their own.
+    """DSE001 — search strategies screen and evaluate through the driver.
 
     A DSE generation evaluates dozens of candidates; the driver owns the
-    one :class:`~repro.dse.thermal.IncrementalThermalEvaluator` per
-    block-set anchor (low-rank updates against a single factorisation)
-    and the one batch/store pipeline.  A strategy that constructs a
+    one thermal screen function
+    (:func:`~repro.dse.driver.screen_placement`, injected into every
+    strategy as ``StrategyContext.screen``) and the one checkpointing
+    batch/store pipeline.  A strategy that constructs a
     ``SteadyStateSolver``/``ThermalQueryEngine`` — or runs flows
-    directly — inside its propose/observe loop refactorises per
-    candidate, turning the incremental fast path back into the full
-    rebuild it exists to avoid, and bypasses the result store that makes
-    kill-and-resume byte-identical.
+    directly — inside its propose/observe loop grows a second thermal
+    path that the screen counters never see, and bypasses the result
+    store that makes kill-and-resume byte-identical.
     """
 
     rule_id = "DSE001"
     title = "no fresh solvers/flows inside DSE strategy code"
-    rationale = "incremental re-evaluation: strategies use the shared evaluator"
+    rationale = (
+        "one screen, one batch layer: strategies use the driver's screen "
+        "function and the checkpointing evaluator"
+    )
 
-    #: The strategy-side modules this rule polices.  driver.py,
-    #: evaluate.py and thermal.py are deliberately absent — they are
-    #: where evaluator construction and flow execution are *supposed*
-    #: to happen.
+    #: The strategy-side modules this rule polices.  driver.py and
+    #: evaluate.py are deliberately absent — they are where thermal
+    #: screening and flow execution are *supposed* to happen.
     STRATEGY_MODULES = frozenset({
         "repro/dse/strategies.py",
         "repro/dse/candidate.py",
         "repro/dse/archive.py",
     })
     #: Construction/execution entry points a strategy must reach only
-    #: through the driver-injected evaluator and batch layer.
+    #: through the driver-injected screen and batch layer.
     BARE_BANNED = frozenset({
         "Flow", "run_flow", "run_many", "build_workload",
         "build_block_network", "HotSpotModel", "SteadyStateSolver",
-        "ThermalQueryEngine", "IncrementalThermalEvaluator",
-        "cho_solve", "cho_factor",
+        "ThermalQueryEngine", "cho_solve", "cho_factor",
     })
     DOTTED_BANNED = (
         "linalg.solve", "linalg.inv", "linalg.cholesky", "linalg.lstsq",
@@ -581,7 +582,7 @@ class DseStrategyRule(LintRule):
                     self.rule_id, call,
                     f"{name}() inside DSE strategy code; solver/engine "
                     f"construction and flow execution belong to the driver's "
-                    f"shared evaluator (repro/dse/thermal.py) and batch "
+                    f"screen function (repro/dse/driver.py) and batch "
                     f"layer (repro/dse/evaluate.py)",
                 )
 

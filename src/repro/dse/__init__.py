@@ -3,8 +3,8 @@
 Searches over (floorplan placement, PE type, core count, scheduling
 policy, DVFS setting) candidates that lower onto the ordinary
 :class:`~repro.flow.FlowSpec` grammar, evaluates populations through the
-batch/store machinery, screens placement moves with incremental
-(Woodbury low-rank) thermal re-evaluation, and archives the
+batch/store machinery, screens placement moves with a steady-state
+thermal build per proposed move, and archives the
 latency × peak-temperature × energy Pareto front byte-stably so a
 killed run resumes into the exact same trajectory.
 """
@@ -37,14 +37,12 @@ from .strategies import (
     scalar_cost,
     strategy_names,
 )
-from .thermal import IncrementalThermalEvaluator
 
 __all__ = [
     "CandidateSpec",
     "DseConfig",
     "DseResult",
     "EvaluatedCandidate",
-    "IncrementalThermalEvaluator",
     "MUTATION_KINDS",
     "OBJECTIVE_NAMES",
     "ParetoArchive",

@@ -62,8 +62,8 @@ _LAYOUT_CONFIG = AnnealingConfig(
     moves_per_temperature=8,
 )
 
-#: Mutation operators, with the move/swap pair (the incremental-thermal
-#: fast path) dominating the mixture.
+#: Mutation operators, with the move/swap pair (placement changes over a
+#: fixed block set) dominating the mixture.
 MUTATION_KINDS = (
     ("move", 0.45),
     ("swap", 0.15),
@@ -278,7 +278,7 @@ def _move_block(
     """Translate one block to a nearby overlap-free position.
 
     Generates up to *proposals* valid moves and, when a *screen* callback
-    is given (the shared incremental thermal evaluator), keeps the
+    is given (the driver's thermal screen), keeps the
     thermally best one; without a screen the first valid move wins.
     """
     rects = _rects_of(placement)
@@ -347,10 +347,9 @@ def mutate(
 ) -> CandidateSpec:
     """One mutated copy of *candidate* (weighted operator mixture).
 
-    Placement operators (move/swap) keep the block set fixed, which is
-    exactly the case the incremental thermal evaluator re-evaluates via
-    low-rank updates; ``arch`` mutations change the block set and force
-    a fresh anchor.
+    Placement operators (move/swap) keep the block set fixed; ``arch``
+    mutations change it.  Only ``move`` consults *screen*, scoring each
+    proposed move by its uniform-power peak temperature.
     """
     draw = rng.random()
     cumulative = 0.0

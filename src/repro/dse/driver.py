@@ -21,23 +21,27 @@ state and the continuation is byte-identical to an uninterrupted run.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from ..errors import DseError
 from ..floorplan.geometry import Floorplan
-from ..obs import get_recorder
+from ..obs import Counters, get_recorder
 from ..results.store import ResultStore
+from ..thermal.blockmodel import build_block_network
+from ..thermal.query import ThermalQueryEngine
 from .archive import ParetoArchive, trajectory_line
-from .candidate import CandidateSpec
+from .candidate import PlacementEntry
 from .evaluate import EvaluatedCandidate, evaluate_population
 from .strategies import StrategyContext, build_strategy
-from .thermal import IncrementalThermalEvaluator
 
-__all__ = ["DseConfig", "DseResult", "run_dse"]
+__all__ = ["DseConfig", "DseResult", "run_dse", "screen_placement"]
 
 #: Store suite tag every DSE evaluation is filed under.
 DSE_SUITE = "dse"
@@ -137,58 +141,31 @@ class DseResult:
         }
 
 
-class _ScreenCache:
-    """Lazily anchored incremental evaluators, one per block-set shape.
+#: Screen counter key.  Every screen builds its own network, so it counts
+#: screens; the historical name stays because the benchmark's per-layer
+#: ``dse.thermal.*`` counters (``perfbench/passes.py``) read this key.
+_SCREEN_COUNTER = "full_rebuilds"
 
-    The anchor for a ``(catalogue, pe, count)`` shape is the first
-    floorplan seen for it; every later placement with the same shape is
-    screened through that anchor's low-rank path.  This is the single
-    construction site for thermal engines in the whole DSE loop — the
-    ``DSE001`` lint rule keeps strategy code from growing its own.
+
+def screen_placement(
+    placement: Tuple[PlacementEntry, ...], stats: Counters
+) -> float:
+    """Steady-state peak block temperature (°C) of *placement*.
+
+    Every block dissipates 1 W — the uniform-stress score the mutation
+    operators rank placement moves by.  This is the one construction
+    site for thermal engines in the DSE loop; the ``DSE001`` lint rule
+    keeps strategy code from growing its own.  Each call counts one
+    screen in *stats* under :data:`_SCREEN_COUNTER`.
     """
-
-    def __init__(self) -> None:
-        self._evaluators: Dict[
-            Tuple[str, Optional[str], int], IncrementalThermalEvaluator
-        ] = {}
-
-    @staticmethod
-    def _plan_of(
-        placement: Tuple[Tuple[str, float, float, float, float], ...]
-    ) -> Floorplan:
-        plan = Floorplan()
-        for name, x, y, w, h in placement:
-            plan.place(name, x, y, w, h)
-        return plan
-
-    def screen(
-        self,
-        candidate: CandidateSpec,
-        placement: Tuple[Tuple[str, float, float, float, float], ...],
-    ) -> float:
-        """Steady-state peak temperature of *placement* (screening cost)."""
-        key = (candidate.catalogue, candidate.pe, candidate.count)
-        evaluator = self._evaluators.get(key)
-        plan = self._plan_of(placement)
-        if evaluator is None:
-            evaluator = IncrementalThermalEvaluator(plan)
-            self._evaluators[key] = evaluator
-        return evaluator.peak_temperature(plan)
-
-    def stats(self) -> Dict[str, int]:
-        """Summed per-path counters across all anchored evaluators."""
-        totals = {
-            "incremental": 0,
-            "unchanged": 0,
-            "full_rebuilds": 0,
-            "conditioning_fallbacks": 0,
-        }
-        for key in sorted(
-            self._evaluators, key=lambda k: (k[0], k[1] or "", k[2])
-        ):
-            for name, value in self._evaluators[key].stats.items():
-                totals[name] += value
-        return totals
+    plan = Floorplan()
+    for name, x, y, w, h in placement:
+        plan.place(name, x, y, w, h)
+    engine = ThermalQueryEngine.from_network(
+        build_block_network(plan), plan.block_names()
+    )
+    stats.inc(_SCREEN_COUNTER)
+    return float(engine.block_temperatures_vector(np.ones(len(engine))).max())
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -240,7 +217,7 @@ def run_dse(
         )
 
     store = ResultStore(out / "store")
-    screens = _ScreenCache()
+    screens = Counters((_SCREEN_COUNTER,), namespace="dse.thermal")
     context = StrategyContext(
         seed=config.seed,
         population=config.population,
@@ -250,7 +227,7 @@ def run_dse(
         counts=config.counts,
         policies=config.policies,
         dvfs_options=config.dvfs_options,
-        screen=screens.screen,
+        screen=functools.partial(screen_placement, stats=screens),
     )
     strategy = build_strategy(config.strategy, context)
     archive = ParetoArchive()
@@ -323,6 +300,6 @@ def run_dse(
         generations=reached,
         evaluations=len(archive),
         front=archive.front(),
-        thermal_stats=screens.stats(),
+        thermal_stats=screens.as_dict(),
         out_dir=out,
     )

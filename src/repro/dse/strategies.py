@@ -11,8 +11,8 @@ killed run had, byte for byte.
 
 Strategies never build thermal solvers or run flows themselves (the
 ``DSE001`` lint rule enforces this): candidate screening goes through
-the context's injected ``screen`` callback (the shared incremental
-thermal evaluator) and full evaluation through the driver's batch layer.
+the context's injected ``screen`` callback (the driver's one screen
+function) and full evaluation through the driver's batch layer.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from ..errors import DseError
 from ..registry import Registry
 from .candidate import (
     CandidateSpec,
+    PlacementEntry,
     crossover,
     mutate,
     random_candidate,
@@ -93,9 +94,7 @@ class StrategyContext:
         counts: Sequence[int] = (4,),
         policies: Sequence[str] = ("thermal",),
         dvfs_options: Sequence[bool] = (False,),
-        screen: Optional[
-            Callable[[CandidateSpec, Tuple[Tuple[str, float, float, float, float], ...]], float]
-        ] = None,
+        screen: Optional[Callable[[Tuple[PlacementEntry, ...]], float]] = None,
     ):
         if population < 1:
             raise DseError(f"population must be >= 1, got {population}")
@@ -130,13 +129,6 @@ class StrategyContext:
         self, candidate: CandidateSpec, rng: random.Random
     ) -> CandidateSpec:
         """One mutation, thermally screened when a screen is injected."""
-        screen = None
-        if self.screen is not None:
-            outer = self.screen
-
-            def screen(placement):  # noqa: F811 - deliberate rebind
-                return outer(candidate, placement)
-
         return mutate(
             candidate,
             rng,
@@ -144,7 +136,7 @@ class StrategyContext:
             counts=self.counts,
             policies=self.policies,
             dvfs_options=self.dvfs_options,
-            screen=screen,
+            screen=self.screen,
         )
 
     def crossover(

@@ -18,7 +18,6 @@ __all__ = [
     "SlicingError",
     "ThermalError",
     "SingularNetworkError",
-    "IllConditionedUpdateError",
     "SchedulingError",
     "DeadlineMissError",
     "InfeasibleAllocationError",
@@ -74,27 +73,6 @@ class ThermalError(ReproError):
 
 class SingularNetworkError(ThermalError):
     """The thermal conductance matrix is singular (network not grounded)."""
-
-
-class IllConditionedUpdateError(ThermalError):
-    """A low-rank conductance update is too ill-conditioned to apply.
-
-    Raised by :meth:`~repro.thermal.steady.SteadyStateSolver
-    .low_rank_update` when the Woodbury capacitance matrix's reciprocal
-    condition number falls below the caller's threshold.  Carries the
-    measured ``rcond`` so callers (the incremental DSE evaluator) can
-    log it before falling back to a full refactorisation.
-    """
-
-    def __init__(self, rcond: float, limit: float, message: str = ""):
-        self.rcond = float(rcond)
-        self.limit = float(limit)
-        text = message or (
-            f"low-rank update capacitance matrix has rcond "
-            f"{self.rcond:.3e} < limit {self.limit:.3e}; "
-            f"refactorise from scratch instead"
-        )
-        super().__init__(text)
 
 
 class SchedulingError(ReproError):

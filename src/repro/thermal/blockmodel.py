@@ -37,7 +37,6 @@ __all__ = [
     "SINK_NODE",
     "spreader_node",
     "build_block_network",
-    "block_network_delta",
     "block_power_vector",
 ]
 
@@ -72,11 +71,6 @@ def _exposed_boundary_mm(
         if name in (a, b):
             shared += contact
     return max(0.0, perimeter - shared)
-
-
-#: Contact-length threshold below which blocks do not couple laterally;
-#: mirrors the ``_EPS`` cut inside :meth:`Floorplan.adjacency`.
-_ADJACENCY_EPS = 1e-9
 
 
 def _overhang_m(floorplan: Floorplan, package: PackageConfig) -> float:
@@ -131,13 +125,11 @@ def _edge_conductances(
 ) -> Dict[Tuple[str, str], float]:
     """Every edge conductance of the block model, keyed by node-name pair.
 
-    Keys are lexicographically ordered ``(a, b)`` name pairs; values
-    accumulate exactly the terms :func:`build_block_network` feeds to
-    ``ThermalNetwork.connect`` (in the same order, so the floats are
-    bit-identical).  This is the geometric half of the model —
-    :func:`block_network_delta` diffs two of these maps (or re-prices just
-    the moved blocks' terms) to derive a sparse conductance perturbation
-    without rebuilding a network.
+    Keys are lexicographically ordered ``(a, b)`` name pairs; each value
+    is the sum of the vertical, periphery and lateral terms between the
+    two nodes, accumulated in that fixed order.  This is the geometric
+    half of the model; :func:`build_block_network` adds the nodes and
+    their capacitances and connects one edge per entry.
     """
     edges: Dict[Tuple[str, str], float] = {}
     adjacency = floorplan.adjacency()
@@ -227,8 +219,8 @@ def build_block_network(
         ambient_conductance=1.0 / package.convection_resistance,
     )
 
-    # conduction edges — vertical, periphery, and lateral terms, assembled
-    # geometrically so the same helper can diff two floorplans
+    # conduction edges — vertical, periphery, and lateral terms summed
+    # per node pair
     for (name_a, name_b), conductance in _edge_conductances(
         floorplan, package
     ).items():
@@ -236,196 +228,6 @@ def build_block_network(
 
     network.check_grounded()
     return network
-
-
-def _diff_edge_maps(
-    base: Mapping[Tuple[str, str], float],
-    new: Mapping[Tuple[str, str], float],
-) -> Dict[Tuple[str, str], float]:
-    """Significant entries of ``new - base`` over the union of edge keys."""
-    delta: Dict[Tuple[str, str], float] = {}
-    for key in sorted(set(base) | set(new)):
-        g_old = base.get(key, 0.0)
-        g_new = new.get(key, 0.0)
-        diff = g_new - g_old
-        if abs(diff) <= 1e-15 * max(1.0, abs(g_old), abs(g_new)):
-            continue
-        delta[key] = diff
-    return delta
-
-
-def _moved_block_delta(
-    anchor: Floorplan,
-    candidate: Floorplan,
-    package: PackageConfig,
-    moved: Tuple[str, ...],
-    anchor_adjacency: Mapping[Tuple[str, str], float],
-    anchor_edges: Mapping[Tuple[str, str], float],
-    overhang_m: float,
-) -> Dict[Tuple[str, str], float]:
-    """Conductance delta re-pricing only the moved blocks' terms.
-
-    Valid only when the two floorplans share block set AND overhang (same
-    die bounding box): then every changed edge involves a moved block —
-    its vertical pair (on resize), its lateral pairs (old and new), and
-    the periphery exposure of itself and its old/new neighbours.  Old
-    lateral values are read back from *anchor_edges* (block-block and
-    cell-cell keys carry exactly one lateral term each), so the delta is
-    exact against the anchor's network.
-    """
-    moved_set = set(moved)
-    delta: Dict[Tuple[str, str], float] = {}
-
-    def bump(name_a: str, name_b: str, old: float, new: float) -> None:
-        diff = new - old
-        if abs(diff) <= 1e-15 * max(1.0, abs(old), abs(new)):
-            return
-        key = (name_a, name_b) if name_a < name_b else (name_b, name_a)
-        delta[key] = delta.get(key, 0.0) + diff
-
-    # vertical terms change only when a block's area changes (resize)
-    for name in sorted(moved_set):
-        block_old = anchor.block(name)
-        block_new = candidate.block(name)
-        if block_old.area == block_new.area:
-            continue
-        old_v, old_cs = _vertical_conductances(block_old.area, package)
-        new_v, new_cs = _vertical_conductances(block_new.area, package)
-        bump(name, spreader_node(name), old_v, new_v)
-        bump(spreader_node(name), SINK_NODE, old_cs, new_cs)
-
-    # lateral pairs involving a moved block, old and new
-    old_pairs = {
-        pair: contact
-        for pair, contact in anchor_adjacency.items()
-        if pair[0] in moved_set or pair[1] in moved_set
-    }
-    new_pairs: Dict[Tuple[str, str], float] = {}
-    blocks = candidate.blocks()
-    for name in sorted(moved_set):
-        rect = candidate.block(name).rect
-        for other in blocks:
-            if other.name == name:
-                continue
-            if other.name in moved_set and other.name < name:
-                continue  # moved-moved pairs priced once
-            contact = rect.shared_edge_length(other.rect)
-            if contact > _ADJACENCY_EPS:
-                key = (
-                    (name, other.name)
-                    if name < other.name
-                    else (other.name, name)
-                )
-                new_pairs[key] = contact
-    for pair in sorted(set(old_pairs) | set(new_pairs)):
-        name_a, name_b = pair
-        cell_pair = (spreader_node(name_a), spreader_node(name_b))
-        old_silicon = anchor_edges.get(pair, 0.0)
-        old_copper = anchor_edges.get(cell_pair, 0.0)
-        if pair in new_pairs:
-            new_silicon, new_copper = _lateral_conductances(
-                candidate.block(name_a).rect,
-                candidate.block(name_b).rect,
-                new_pairs[pair],
-                package,
-            )
-        else:
-            new_silicon = new_copper = 0.0
-        bump(name_a, name_b, old_silicon, new_silicon)
-        bump(cell_pair[0], cell_pair[1], old_copper, new_copper)
-
-    # periphery exposure changes for moved blocks and their old/new
-    # neighbours; everyone else keeps their contacts (and their exposure)
-    affected = sorted(
-        moved_set
-        | {name for pair in old_pairs for name in pair}
-        | {name for pair in new_pairs for name in pair}
-    )
-    for name in affected:
-        shared_old = 0.0
-        for pair, contact in anchor_adjacency.items():
-            if name in pair:
-                shared_old += contact
-        shared_new = shared_old
-        for pair, contact in old_pairs.items():
-            if name in pair:
-                shared_new -= contact
-        for pair, contact in new_pairs.items():
-            if name in pair:
-                shared_new += contact
-        rect_old = anchor.block(name).rect
-        rect_new = candidate.block(name).rect
-        exposed_old = max(0.0, 2.0 * (rect_old.w + rect_old.h) - shared_old)
-        exposed_new = max(0.0, 2.0 * (rect_new.w + rect_new.h) - shared_new)
-        bump(
-            spreader_node(name),
-            SINK_NODE,
-            _periphery_conductance(exposed_old, package, overhang_m),
-            _periphery_conductance(exposed_new, package, overhang_m),
-        )
-    return delta
-
-
-def block_network_delta(
-    anchor: Floorplan,
-    candidate: Floorplan,
-    package: Optional[PackageConfig] = None,
-    anchor_edges: Optional[Dict[Tuple[str, str], float]] = None,
-    anchor_adjacency: Optional[Dict[Tuple[str, str], float]] = None,
-) -> Optional[Dict[Tuple[str, str], float]]:
-    """Sparse conductance delta between two floorplans' block models.
-
-    Returns a ``{(name_a, name_b): Δconductance}`` map such that adding
-    every entry to *anchor*'s network reproduces *candidate*'s conductance
-    matrix (capacitances — irrelevant to the steady state — may still
-    differ).  Returns ``None`` when the two floorplans do not share the
-    same block-name set, i.e. when no common node space exists and the
-    caller must rebuild from scratch.
-
-    When the die bounding box is unchanged, only terms involving the
-    moved/resized blocks are re-priced — O(moved × blocks) instead of the
-    full O(blocks²) edge map, which is what makes per-move incremental
-    re-evaluation cheap.  A bbox change re-prices every periphery edge
-    (the copper overhang narrows or widens for everyone), so that case
-    falls back to a full edge-map diff.
-
-    *anchor_edges* / *anchor_adjacency* let callers that diff many
-    candidates against one anchor (the DSE evaluator) cache the anchor's
-    geometry; when omitted they are recomputed.
-    """
-    if set(anchor.block_names()) != set(candidate.block_names()):
-        return None
-    package = package or default_package()
-    moved_names = []
-    for name in anchor.block_names():
-        rect_a = anchor.block(name).rect
-        rect_b = candidate.block(name).rect
-        if (rect_a.x, rect_a.y, rect_a.w, rect_a.h) != (
-            rect_b.x,
-            rect_b.y,
-            rect_b.w,
-            rect_b.h,
-        ):
-            moved_names.append(name)
-    moved = tuple(moved_names)
-    if not moved:
-        return {}
-    base = (
-        anchor_edges
-        if anchor_edges is not None
-        else _edge_conductances(anchor, package)
-    )
-    overhang = _overhang_m(anchor, package)
-    if overhang != _overhang_m(candidate, package):
-        return _diff_edge_maps(base, _edge_conductances(candidate, package))
-    adjacency = (
-        anchor_adjacency
-        if anchor_adjacency is not None
-        else anchor.adjacency()
-    )
-    return _moved_block_delta(
-        anchor, candidate, package, moved, adjacency, base, overhang
-    )
 
 
 def block_power_vector(

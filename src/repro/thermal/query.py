@@ -104,42 +104,6 @@ class ThermalQueryEngine:
         )
 
     @classmethod
-    def from_low_rank_update(
-        cls,
-        base: "ThermalQueryEngine",
-        update,
-        block_indices: Sequence[int],
-    ) -> "ThermalQueryEngine":
-        """Engine for a perturbed network, by Woodbury correction only.
-
-        *base* is the engine of the unperturbed network, *update* a
-        :class:`~repro.thermal.steady.LowRankUpdate` produced by that
-        network's solver, and *block_indices* the block nodes' indices in
-        the *network's* node order (the same indices ``from_network``
-        restricted the influence columns to).  The corrected response is
-
-            ``R_new = R − X_b · M · X_bᵀ``
-
-        with ``X_b`` the block rows of the update's influence columns —
-        two small matmuls, no backsolves, no refactorisation.  This is the
-        incremental path the DSE evaluator uses for move/resize mutations.
-        """
-        rows = np.asarray(list(block_indices), dtype=int)
-        if rows.shape != (len(base.block_names),):
-            raise ThermalError(
-                f"got {rows.shape[0] if rows.ndim == 1 else rows.shape} block "
-                f"indices, expected {len(base.block_names)}"
-            )
-        xb = update.columns[rows, :]  # (n_blocks, k)
-        response = base.response - xb @ update.gain @ xb.T
-        return cls(
-            base.block_names,
-            response,
-            base.ambient_c,
-            setup_solves=base.setup_solves + update.rank,
-        )
-
-    @classmethod
     def from_linear_map(
         cls,
         network,

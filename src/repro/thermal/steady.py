@@ -10,51 +10,15 @@ power vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
-from ..errors import IllConditionedUpdateError, SingularNetworkError, ThermalError
+from ..errors import SingularNetworkError, ThermalError
 from .network import ThermalNetwork
 
-__all__ = ["LowRankUpdate", "SteadyStateSolver"]
-
-
-@dataclass(frozen=True)
-class LowRankUpdate:
-    """A Woodbury correction to a factorised conductance matrix.
-
-    Encodes ``G_new⁻¹ = G⁻¹ − X · M · Xᵀ`` where ``X`` holds the base
-    solver's influence columns for the touched nodes and ``M`` is the
-    symmetric Woodbury gain.  Consumers that only need block-restricted
-    responses (the query engine) apply the correction with plain matmuls —
-    no further backsolves.
-
-    Attributes
-    ----------
-    indices:
-        Touched node indices, sorted ascending — the columns of ``X``.
-    columns:
-        ``(n_nodes, k)`` influence columns ``G⁻¹ U`` of the base solver.
-    gain:
-        ``(k, k)`` symmetric Woodbury gain ``W (I + A W)⁻¹`` with
-        ``A = Uᵀ G⁻¹ U``.
-    rcond:
-        Reciprocal condition number of the capacitance matrix ``I + A W``
-        — the well-posedness certificate callers gate fallbacks on.
-    """
-
-    indices: Tuple[int, ...]
-    columns: np.ndarray
-    gain: np.ndarray
-    rcond: float
-
-    @property
-    def rank(self) -> int:
-        """Number of touched nodes (the update's rank bound)."""
-        return len(self.indices)
+__all__ = ["SteadyStateSolver"]
 
 
 class SteadyStateSolver:
@@ -115,64 +79,6 @@ class SteadyStateSolver:
             )
         self.solve_count += powers.shape[1]
         return cho_solve(self._factor, powers)
-
-    def low_rank_update(
-        self,
-        delta: Mapping[Tuple[int, int], float],
-        rcond_limit: float = 1e-8,
-    ) -> LowRankUpdate:
-        """Woodbury correction for a sparse conductance perturbation.
-
-        *delta* maps node-index pairs to conductance changes (W/K): an
-        ``(i, j)`` entry with ``i != j`` perturbs the edge between the two
-        nodes, an ``(i, i)`` entry perturbs node *i*'s ambient conductance.
-        The perturbed matrix is ``G_new = G + U W Uᵀ`` with ``U`` the
-        selection columns of the touched nodes and ``W`` the ``k × k``
-        assembly of the deltas; the returned update encodes
-        ``G_new⁻¹ = G⁻¹ − X M Xᵀ`` using ``k`` backsolves against the
-        existing factor instead of an ``O(n³)`` refactorisation.
-
-        Raises :class:`~repro.errors.IllConditionedUpdateError` when the
-        capacitance matrix ``I + A W`` has a reciprocal condition number
-        below *rcond_limit* — the caller should rebuild from scratch.
-        """
-        if not delta:
-            raise ThermalError("empty conductance delta for low-rank update")
-        size = len(self.network)
-        touched = sorted({index for pair in delta for index in pair})
-        for index in touched:
-            if not 0 <= index < size:
-                raise ThermalError(
-                    f"node index {index} out of range for {size}-node network"
-                )
-        local = {index: slot for slot, index in enumerate(touched)}
-        k = len(touched)
-        w = np.zeros((k, k), dtype=float)
-        for (node_a, node_b), change in delta.items():
-            change = float(change)
-            ia, ib = local[node_a], local[node_b]
-            if ia == ib:
-                # ambient-conductance perturbation: diagonal only
-                w[ia, ia] += change
-            else:
-                w[ia, ia] += change
-                w[ib, ib] += change
-                w[ia, ib] -= change
-                w[ib, ia] -= change
-        columns = self.influence_columns(touched)  # X = G⁻¹ U, (n, k)
-        a = columns[np.asarray(touched, dtype=int), :]  # A = Uᵀ G⁻¹ U
-        capacitance = np.eye(k) + a @ w
-        cond = np.linalg.cond(capacitance)
-        rcond = 1.0 / cond if np.isfinite(cond) and cond > 0.0 else 0.0
-        if not np.isfinite(rcond) or rcond < rcond_limit:
-            raise IllConditionedUpdateError(rcond, rcond_limit)
-        # M = W (I + A W)⁻¹, computed as (I + W A)⁻¹ W to avoid inverting
-        # the (possibly singular) delta assembly W itself.
-        gain = np.linalg.solve(np.eye(k) + w @ a, w)
-        gain = (gain + gain.T) / 2.0  # symmetric by construction; enforce
-        return LowRankUpdate(
-            indices=tuple(touched), columns=columns, gain=gain, rcond=rcond
-        )
 
     def influence_columns(self, indices: Sequence[int]) -> np.ndarray:
         """Columns of ``G⁻¹`` for the given node *indices*.

@@ -301,14 +301,15 @@ class TestDSE001DseStrategy:
         }, rules=["DSE001"])
         assert one_violation(report, "DSE001").line == 2
 
-    def test_driver_and_thermal_are_the_allowed_consumers(self, tmp_path):
+    def test_driver_and_evaluate_are_the_allowed_consumers(self, tmp_path):
         report = lint_tree(tmp_path, {
-            # the shared evaluator builds the solvers — not policed
-            "src/repro/dse/thermal.py":
-                "from repro.thermal.steady import SteadyStateSolver\n"
-                "solver = SteadyStateSolver(None)\n",
+            # the driver's screen function builds the engines — not policed
             "src/repro/dse/driver.py":
+                "from repro.thermal.blockmodel import build_block_network\n"
+                "from repro.thermal.query import ThermalQueryEngine\n"
                 "from repro.flow.batch import run_many\n"
+                "engine = ThermalQueryEngine.from_network(\n"
+                "    build_block_network(None), ())\n"
                 "records = run_many([])\n",
             "src/repro/dse/evaluate.py":
                 "from repro.flow.batch import run_many\n"

@@ -149,7 +149,22 @@ class TestRunDse:
         assert payload["front"] == [
             entry.to_dict() for entry in result.front
         ]
-        assert result.thermal_stats["incremental"] >= 0
+
+    def test_thermal_stats_count_every_screen(self, tmp_path, monkeypatch):
+        import repro.dse.driver as driver
+
+        calls = []
+        screen = driver.screen_placement
+
+        def counting_screen(placement, stats):
+            calls.append(placement)
+            return screen(placement, stats)
+
+        monkeypatch.setattr(driver, "screen_placement", counting_screen)
+        config = DseConfig(strategy="nsga2", **SMALL)
+        result = run_dse(config, tmp_path / "run")
+        assert len(calls) > 0
+        assert result.thermal_stats == {"full_rebuilds": len(calls)}
 
 
 # ----------------------------------------------------------------------

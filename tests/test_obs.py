@@ -351,23 +351,21 @@ class TestMigratedStatsShapes:
         assert all(isinstance(v, int) for v in scheduler.values())
 
     def test_dse_thermal_stats_keep_dict_shape(self):
-        from repro.dse.thermal import IncrementalThermalEvaluator
-        from repro.floorplan.geometry import Floorplan
+        from repro.dse.driver import screen_placement
+        from repro.obs import Counters
 
-        def plan():
-            built = Floorplan()
-            built.place("a", 0.0, 0.0, 2.0, 2.0)
-            built.place("b", 2.0, 0.0, 2.0, 2.0)
-            return built
-
-        evaluator = IncrementalThermalEvaluator(plan())
-        assert dict(evaluator.stats) == {
-            "incremental": 0, "unchanged": 0,
-            "full_rebuilds": 0, "conditioning_fallbacks": 0,
+        placement = (("a", 0.0, 0.0, 2.0, 2.0), ("b", 2.0, 0.0, 2.0, 2.0))
+        stats = Counters(("full_rebuilds",), namespace="dse.thermal")
+        assert dict(stats) == {"full_rebuilds": 0}
+        with capture() as recorder:
+            screen_placement(placement, stats)
+            screen_placement(placement, stats)
+        assert dict(stats) == {"full_rebuilds": 2}
+        exported = {
+            entry["name"]: entry["value"]
+            for entry in recorder.metrics.export()["counters"]
         }
-        evaluator.engine_for(plan())
-        assert evaluator.stats["unchanged"] == 1
-        assert evaluator.evaluations() == 1
+        assert exported["dse.thermal.full_rebuilds"] == 2
 
 
 # ----------------------------------------------------------------------
