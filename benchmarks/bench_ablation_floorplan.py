@@ -12,12 +12,11 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.cosynth.framework import power_aware_cosynthesis
-from repro.experiments.workloads import workload
 from repro.floorplan.annealing import AnnealingConfig, anneal_floorplan
 from repro.floorplan.genetic import GeneticConfig, evolve_floorplan
 from repro.floorplan.objectives import thermal_objective
 from repro.floorplan.platform import row_floorplan
+from repro.flow import cosynthesis_spec, run_flow
 from repro.thermal.hotspot import HotSpotModel
 
 from conftest import print_report
@@ -30,13 +29,19 @@ def peak_of(plan, powers):
     return HotSpotModel(plan).peak_temperature(powers)
 
 
+def power_aware(name):
+    """Power-aware co-synthesis of one benchmark at the default config."""
+    return run_flow(
+        cosynthesis_spec(name, policy="heuristic3", final_cost="power")
+    )
+
+
 @pytest.fixture(scope="module")
 def floorplanner_rows():
     rows = []
     per_benchmark = {}
     for name in ("Bm1", "Bm2"):
-        graph, library = workload(name)
-        design = power_aware_cosynthesis(graph, library)
+        design = power_aware(name)
         arch = design.architecture
         powers = design.schedule.average_powers()
 
@@ -89,8 +94,7 @@ def test_all_plans_valid_and_complete(floorplanner_rows):
 
 
 def test_benchmark_thermal_ga(benchmark, floorplanner_rows):
-    graph, library = workload("Bm1")
-    design = power_aware_cosynthesis(graph, library)
+    design = power_aware("Bm1")
     powers = design.schedule.average_powers()
     objective = thermal_objective(
         lambda plan: peak_of(plan, powers)

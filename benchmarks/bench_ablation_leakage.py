@@ -14,9 +14,8 @@ import pytest
 
 from repro.analysis.reliability import reliability_report
 from repro.analysis.report import format_table
-from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import WORKLOAD_NAMES, workload
+from repro.experiments.workloads import WORKLOAD_NAMES
+from repro.flow import platform_spec, run_flow
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.leakage import LeakageModel, solve_with_leakage
 
@@ -29,9 +28,8 @@ LEAKAGE = LeakageModel(leakage_fraction=0.15, beta=0.015, t_ref_c=65.0)
 def leakage_rows():
     rows = []
     for name in WORKLOAD_NAMES:
-        graph, library = workload(name)
-        for policy in (TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy)
+        for policy in ("heuristic3", "thermal"):
+            result = run_flow(platform_spec(name, policy=policy))
             model = HotSpotModel(result.floorplan)
             powers = result.schedule.average_powers()
             solution = solve_with_leakage(model, powers, LEAKAGE)
@@ -39,7 +37,7 @@ def leakage_rows():
             rows.append(
                 {
                     "benchmark": name,
-                    "policy": policy.name,
+                    "policy": policy,
                     "peak_no_leak": round(result.evaluation.max_temperature, 2),
                     "peak_with_leak": round(solution.peak_temperature, 2),
                     "leakage_W": round(solution.total_leakage, 2),
@@ -89,8 +87,7 @@ def test_thermal_policy_lives_longer(leakage_rows):
 
 
 def test_benchmark_leakage_loop(benchmark, leakage_rows):
-    graph, library = workload("Bm1")
-    result = platform_flow(graph, library, ThermalPolicy())
+    result = run_flow(platform_spec("Bm1", policy="thermal"))
     model = HotSpotModel(result.floorplan)
     powers = result.schedule.average_powers()
     benchmark(solve_with_leakage, model, powers, LEAKAGE)

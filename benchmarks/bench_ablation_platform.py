@@ -12,29 +12,33 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import workload
-from repro.library.presets import default_platform
+from repro.flow import ArchitectureSpec, platform_spec, run_flow
 
 from conftest import print_report
 
 SIZES = [2, 3, 4, 6, 8]
 
 
+def platform_of(name, policy, count):
+    """A platform spec over *count* identical PEs named ``platform<count>``."""
+    return platform_spec(
+        name,
+        policy=policy,
+        architecture=ArchitectureSpec(name=f"platform{count}", count=count),
+    )
+
+
 @pytest.fixture(scope="module")
 def size_sweep():
-    graph, library = workload("Bm2")
     rows = []
     for count in SIZES:
-        platform = default_platform(count=count, name=f"platform{count}")
-        for policy in (TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy, architecture=platform)
+        for policy in ("heuristic3", "thermal"):
+            result = run_flow(platform_of("Bm2", policy, count))
             evaluation = result.evaluation
             rows.append(
                 {
                     "pes": count,
-                    "policy": policy.name,
+                    "policy": policy,
                     "total_pow": round(evaluation.total_power, 2),
                     "max_temp": round(evaluation.max_temperature, 2),
                     "avg_temp": round(evaluation.avg_temperature, 2),
@@ -90,8 +94,4 @@ def test_makespan_shrinks_with_pes_up_to_parallelism(size_sweep):
 
 
 def test_benchmark_platform8(benchmark, size_sweep):
-    graph, library = workload("Bm2")
-    platform = default_platform(count=8, name="platform8")
-    benchmark(
-        platform_flow, graph, library, ThermalPolicy(), architecture=platform
-    )
+    benchmark(run_flow, platform_of("Bm2", "thermal", 8))

@@ -13,16 +13,14 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.report import format_table
-from repro.core.heuristics import BaselinePolicy, TaskEnergyPolicy, ThermalPolicy
-from repro.cosynth.framework import platform_flow
-from repro.experiments.workloads import workload
+from repro.flow import platform_spec, run_flow
 from repro.thermal.hotspot import HotSpotModel
 
 from conftest import print_report
 
 #: 1 schedule time unit = 1 ms of wall-clock — embedded task granularity.
 TIME_SCALE = 1e-3
-POLICIES = [BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()]
+POLICIES = ["baseline", "heuristic3", "thermal"]
 
 
 def transient_metrics(result, cycles=4):
@@ -54,16 +52,15 @@ def transient_metrics(result, cycles=4):
 def transient_rows():
     rows = []
     for name in ("Bm1", "Bm2"):
-        graph, library = workload(name)
         for policy in POLICIES:
-            result = platform_flow(graph, library, policy)
+            result = run_flow(platform_spec(name, policy=policy))
             steady_peak = result.evaluation.max_temperature
             steady_avg = result.evaluation.avg_temperature
             tr_peak, tr_avg = transient_metrics(result)
             rows.append(
                 {
                     "benchmark": name,
-                    "policy": policy.name,
+                    "policy": policy,
                     "steady_max": round(steady_peak, 2),
                     "transient_max": round(tr_peak, 2),
                     "steady_avg": round(steady_avg, 2),
@@ -100,6 +97,5 @@ def test_transient_peak_at_least_steady_peak(transient_rows):
 
 
 def test_benchmark_transient_replay(benchmark, transient_rows):
-    graph, library = workload("Bm1")
-    result = platform_flow(graph, library, ThermalPolicy())
+    result = run_flow(platform_spec("Bm1", policy="thermal"))
     benchmark(transient_metrics, result, 5)

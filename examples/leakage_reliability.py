@@ -18,13 +18,10 @@ Run:  python examples/leakage_reliability.py
 from repro import (
     HotSpotModel,
     LeakageModel,
-    TaskEnergyPolicy,
-    ThermalPolicy,
-    benchmark,
     format_table,
-    library_for_graph,
-    platform_flow,
+    platform_spec,
     reliability_report,
+    run_flow,
     solve_with_leakage,
 )
 
@@ -32,11 +29,9 @@ LEAKAGE = LeakageModel(leakage_fraction=0.15, beta=0.015, t_ref_c=65.0)
 
 
 def main() -> None:
-    graph = benchmark("Bm2")
-    library = library_for_graph(graph)
     rows = []
-    for policy in (TaskEnergyPolicy(), ThermalPolicy()):
-        result = platform_flow(graph, library, policy)
+    for policy in ("heuristic3", "thermal"):
+        result = run_flow(platform_spec("Bm2", policy=policy))
         model = HotSpotModel(result.floorplan)
         powers = result.schedule.average_powers()
 
@@ -44,7 +39,7 @@ def main() -> None:
         report = reliability_report(solution.temperatures, ref_temp_c=65.0)
         rows.append(
             {
-                "policy": policy.name,
+                "policy": policy,
                 "peak_C_no_leak": round(result.evaluation.max_temperature, 2),
                 "peak_C_with_leak": round(solution.peak_temperature, 2),
                 "leakage_W": round(solution.total_leakage, 2),

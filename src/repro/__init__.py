@@ -45,10 +45,11 @@ docs/OBSERVABILITY.md.
 
 The same flows are scriptable from the shell (``python -m repro --help``:
 ``run`` / ``sweep`` / ``scenarios`` / ``results`` / ``experiments`` /
-``list``).  Legacy entry points
-(``platform_flow``, ``thermal_aware_cosynthesis``, ``reclaim_slack``,
-``schedule_conditional``...) keep working and return results identical to
-the facade; docs/FLOW_API.md maps each onto its FlowSpec equivalent.
+``list``).  Each design flow has one implementation, reached through
+:func:`run_flow`; the lower layers it composes (``ListScheduler``,
+``CoSynthesisFramework``, ``reclaim_slack``, ``schedule_conditional``...)
+stay public for ad-hoc use, and docs/FLOW_API.md maps the removed
+pre-flow entry points onto their FlowSpec equivalents.
 """
 
 from .errors import (
@@ -127,10 +128,6 @@ from .cosynth import (
     CoSynthesisConfig,
     CoSynthesisFramework,
     CoSynthesisResult,
-    PlatformResult,
-    platform_flow,
-    power_aware_cosynthesis,
-    thermal_aware_cosynthesis,
 )
 from .analysis import (
     ScheduleEvaluation,
@@ -220,7 +217,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "__version__",
@@ -296,10 +293,6 @@ __all__ = [
     "CoSynthesisConfig",
     "CoSynthesisFramework",
     "CoSynthesisResult",
-    "PlatformResult",
-    "platform_flow",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
     # analysis
     "ScheduleEvaluation",
     "evaluate_schedule",

@@ -1,4 +1,4 @@
-"""The co-synthesis framework (Figure 1a) and platform flow (Figure 1b).
+"""The co-synthesis framework (Figure 1a).
 
 **Figure 1a — thermal-aware co-synthesis.**  The ASP, the thermal-aware
 floorplanner and HotSpot interact through the co-synthesis interface until
@@ -15,8 +15,10 @@ the requirement is met.  Our realisation (see DESIGN.md "Substitutions"):
 4. pick the allocation minimising the final cost (temperatures for the
    thermal flow, power for the power-aware flow).
 
-**Figure 1b — platform-based design.**  The architecture and floorplan are
-fixed; the modified ASP simply queries HotSpot directly.
+**Figure 1b — platform-based design** has no search to drive: the
+architecture and floorplan are fixed and the modified ASP queries HotSpot
+directly.  It runs as the ``platform`` flow kind,
+:func:`repro.flow.runner._platform_runner`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.metrics import ScheduleEvaluation, evaluate_schedule
-from ..core.heuristics import DCPolicy, TaskEnergyPolicy, ThermalPolicy
+from ..core.heuristics import DCPolicy, TaskEnergyPolicy
 from ..core.scheduler import ListScheduler
 from ..core.schedule import Schedule
 from ..errors import CoSynthesisError
@@ -38,7 +40,7 @@ from ..floorplan.objectives import (
 )
 from ..floorplan.platform import platform_floorplan
 from ..library.pe import Architecture, PEType
-from ..library.presets import default_catalogue, default_platform
+from ..library.presets import default_catalogue
 from ..library.technology import TechnologyLibrary
 from ..taskgraph.graph import TaskGraph
 from ..thermal.hotspot import HotSpotModel
@@ -50,10 +52,6 @@ __all__ = [
     "CoSynthesisConfig",
     "CoSynthesisResult",
     "CoSynthesisFramework",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
-    "PlatformResult",
-    "platform_flow",
 ]
 
 
@@ -96,8 +94,10 @@ class CoSynthesisResult:
     candidates_screened: int
     candidates_evaluated: int
     screening_rows: List[Dict[str, object]] = field(default_factory=list)
-    #: steady-state HotSpot solves spent by phase-2 scheduling (the
-    #: "thermal inquiries" of Figure 1), summed over evaluated candidates
+    #: HotSpot facade queries made during phase-2 scheduling (the
+    #: "thermal inquiries" of Figure 1; ``HotSpotModel.query_count``,
+    #: which excludes the scheduler's query-engine fast path), summed
+    #: over evaluated candidates
     hotspot_queries: int = 0
 
     @property
@@ -255,92 +255,3 @@ class CoSynthesisFramework:
                 f"{graph.name!r} (best makespan {result.schedule.makespan:.1f})"
             )
         return result
-
-
-# ----------------------------------------------------------------------
-# convenience entry points used by the experiments
-# ----------------------------------------------------------------------
-def power_aware_cosynthesis(
-    graph: TaskGraph,
-    library: TechnologyLibrary,
-    policy: Optional[DCPolicy] = None,
-    catalogue: Optional[Sequence[PEType]] = None,
-    package: Optional[PackageConfig] = None,
-    config: Optional[CoSynthesisConfig] = None,
-) -> CoSynthesisResult:
-    """Power-aware co-synthesis: area floorplanning, power final cost.
-
-    *policy* defaults to heuristic 3 (the paper's best power heuristic).
-    Legacy entry point — see ``cosynthesis_spec(final_cost="power")`` in
-    :mod:`repro.flow` and docs/FLOW_API.md.
-    """
-    framework = CoSynthesisFramework(catalogue, package, config)
-    return framework.run(
-        graph, library, policy or TaskEnergyPolicy(), final_cost=power_final_cost()
-    )
-
-
-def thermal_aware_cosynthesis(
-    graph: TaskGraph,
-    library: TechnologyLibrary,
-    policy: Optional[DCPolicy] = None,
-    catalogue: Optional[Sequence[PEType]] = None,
-    package: Optional[PackageConfig] = None,
-    config: Optional[CoSynthesisConfig] = None,
-) -> CoSynthesisResult:
-    """Thermal-aware co-synthesis (Figure 1a): thermal floorplanning +
-    ``Avg_Temp`` scheduling + temperature final cost.
-
-    Legacy entry point — see ``cosynthesis_spec(final_cost="thermal")`` in
-    :mod:`repro.flow` and docs/FLOW_API.md.
-    """
-    framework = CoSynthesisFramework(catalogue, package, config)
-    return framework.run(
-        graph, library, policy or ThermalPolicy(), final_cost=thermal_final_cost()
-    )
-
-
-@dataclass
-class PlatformResult:
-    """Outcome of the platform-based flow (Figure 1b)."""
-
-    architecture: Architecture
-    floorplan: Floorplan
-    schedule: Schedule
-    evaluation: ScheduleEvaluation
-    #: the HotSpot facade the ASP queried (exposes ``query_count``)
-    hotspot: Optional[HotSpotModel] = None
-
-    @property
-    def meets_deadline(self) -> bool:
-        """True when the schedule met the deadline."""
-        return self.evaluation.meets_deadline
-
-
-def platform_flow(
-    graph: TaskGraph,
-    library: TechnologyLibrary,
-    policy: DCPolicy,
-    architecture: Optional[Architecture] = None,
-    floorplan: Optional[Floorplan] = None,
-    package: Optional[PackageConfig] = None,
-) -> PlatformResult:
-    """The paper's platform-based design flow (Figure 1b).
-
-    Architecture defaults to four identical PEs; the floorplan defaults to
-    the canonical platform layout.  Works for every policy: thermal ones
-    query the HotSpot model that is built here either way.
-
-    Legacy entry point — ``run_flow(platform_spec(...))`` in
-    :mod:`repro.flow` runs the identical computation declaratively (see
-    docs/FLOW_API.md); this function stays for ad-hoc use with pre-built
-    graphs and libraries.
-    """
-    architecture = architecture or default_platform()
-    plan = floorplan if floorplan is not None else platform_floorplan(architecture)
-    package = package or default_package()
-    hotspot = HotSpotModel(plan, package)
-    scheduler = ListScheduler(graph, architecture, library, thermal=hotspot)
-    schedule = scheduler.run(policy)
-    evaluation = evaluate_schedule(schedule, hotspot=hotspot)
-    return PlatformResult(architecture, plan, schedule, evaluation, hotspot)

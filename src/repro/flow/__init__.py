@@ -21,10 +21,11 @@ behaviours drop in without touching the facade::
     result = run_flow(platform_spec("Bm1", policy="thermal"))
     print(result.evaluation.as_row())
 
-Legacy entry points (``platform_flow``, ``thermal_aware_cosynthesis``,
-``reclaim_slack``, ``schedule_conditional``...) keep working and return
-results byte-identical to the facade; docs/FLOW_API.md maps each to its
-spec equivalent.
+This facade is the only implementation of each design flow.  The
+lower-layer calls it composes (``reclaim_slack``,
+``schedule_conditional``...) stay public and return results
+byte-identical to the facade; docs/FLOW_API.md maps each, and every
+removed pre-flow entry point, to its spec equivalent.
 """
 
 from .spec import (

@@ -2,17 +2,18 @@
 
 One entry point executes any registered flow kind from a declarative
 :class:`~repro.flow.spec.FlowSpec` and returns one unified
-:class:`FlowResult` — replacing the three incompatible result shapes of
-the legacy entry points (``PlatformResult``, ``CoSynthesisResult``,
-``DVFSResult``) with a single object carrying the schedule, its
-evaluation, the floorplan, optional post-pass results, and provenance +
-stage-timing metadata.
+:class:`FlowResult` — a single object carrying the schedule, its
+evaluation, the floorplan, optional post-pass results (in place of the
+separate ``CoSynthesisResult`` / ``DVFSResult`` shapes of the lower
+layers), and provenance + stage-timing metadata.
 
-The built-in flow kinds reproduce the paper's two figures exactly:
+The built-in flow kinds are the only implementations of the paper's two
+figures:
 
 * ``"platform"`` — Figure 1b.  Fixed architecture and floorplan, ASP with
-  HotSpot inquiries.  Byte-identical to
-  :func:`repro.cosynth.framework.platform_flow` for equal inputs.
+  HotSpot inquiries: the platform architecture and floorplan, a HotSpot
+  model, :class:`~repro.core.scheduler.ListScheduler` and
+  :func:`~repro.analysis.metrics.evaluate_schedule`, wired in that order.
 * ``"cosynthesis"`` — Figure 1a.  Allocation screening, thermal/area
   floorplanning, HotSpot-in-the-loop refinement.  Byte-identical to
   :class:`repro.cosynth.framework.CoSynthesisFramework` for equal inputs.

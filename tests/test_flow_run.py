@@ -1,4 +1,4 @@
-"""The Flow facade: equivalence with legacy entry points, registries,
+"""The Flow facade: equivalence with the hand-wired lower layers, registries,
 post-passes, and the acceptance round-trip (spec -> json -> spec -> run).
 """
 
@@ -7,13 +7,16 @@ import pytest
 from repro import (
     benchmark,
     library_for_graph,
-    platform_flow,
     policy_by_name,
 )
+from repro.analysis.metrics import evaluate_schedule
+from repro.core.scheduler import ListScheduler
 from repro.cosynth.framework import CoSynthesisConfig, CoSynthesisFramework
 from repro.errors import FlowError, SchedulingError
 from repro.extensions.dvfs import reclaim_slack
+from repro.floorplan.platform import platform_floorplan
 from repro.flow import (
+    ArchitectureSpec,
     ConditionalSpec,
     DVFSSpec,
     Flow,
@@ -30,6 +33,8 @@ from repro.flow import (
 )
 from repro.flow.registry import FLOWS, Registry
 from repro.floorplan.genetic import GeneticConfig
+from repro.library.presets import default_platform
+from repro.thermal.hotspot import HotSpotModel
 
 FAST = CoSynthesisConfig(
     max_pes=3,
@@ -49,23 +54,58 @@ def bm1():
     return graph, library_for_graph(graph)
 
 
-class TestPlatformEquivalence:
-    """Acceptance: byte-identical evaluations vs the legacy platform flow."""
+def reference_platform_run(graph, library, policy_name, architecture=None):
+    """Figure 1b wired by hand from the lower layers: the reference the
+    ``platform`` flow runner must reproduce exactly.
 
-    @pytest.mark.parametrize("policy", ["baseline", "heuristic3", "thermal"])
+    Returns ``(schedule, evaluation)``.
+    """
+    arch = architecture or default_platform()
+    hotspot = HotSpotModel(platform_floorplan(arch))
+    scheduler = ListScheduler(graph, arch, library, thermal=hotspot)
+    schedule = scheduler.run(policy_by_name(policy_name))
+    return schedule, evaluate_schedule(schedule, hotspot=hotspot)
+
+
+#: The policies of the paper's Tables 1 and 3.
+TABLE_POLICIES = ("baseline", "heuristic1", "heuristic2", "heuristic3", "thermal")
+
+
+class TestPlatformEquivalence:
+    """Acceptance: byte-identical evaluations vs the hand-wired reference."""
+
+    @pytest.mark.parametrize("policy", TABLE_POLICIES)
     def test_platform_flow_equivalence_bm1(self, bm1, policy):
         graph, library = bm1
-        legacy = platform_flow(graph, library, policy_by_name(policy))
+        schedule, evaluation = reference_platform_run(graph, library, policy)
         result = Flow().run(round_trip(platform_spec("Bm1", policy=policy)))
-        assert result.evaluation == legacy.evaluation
+        assert result.evaluation == evaluation
+        assert result.schedule.makespan == schedule.makespan
 
     @pytest.mark.parametrize("name", ["Bm2", "Bm3", "Bm4"])
     def test_platform_flow_equivalence_suite(self, name):
         graph = benchmark(name)
         library = library_for_graph(graph)
-        legacy = platform_flow(graph, library, policy_by_name("thermal"))
-        result = run_flow(round_trip(platform_spec(name, policy="thermal")))
-        assert result.evaluation == legacy.evaluation
+        for policy in TABLE_POLICIES:
+            schedule, evaluation = reference_platform_run(graph, library, policy)
+            result = run_flow(round_trip(platform_spec(name, policy=policy)))
+            assert result.evaluation == evaluation, policy
+            assert result.schedule.makespan == schedule.makespan, policy
+
+    def test_platform_flow_equivalence_two_pes(self, bm1):
+        graph, library = bm1
+        schedule, evaluation = reference_platform_run(
+            graph, library, "thermal",
+            architecture=default_platform(count=2, name="platform2"),
+        )
+        spec = platform_spec(
+            "Bm1", policy="thermal",
+            architecture=ArchitectureSpec(name="platform2", count=2),
+        )
+        result = run_flow(round_trip(spec))
+        assert result.evaluation == evaluation
+        assert result.architecture.name == "platform2"
+        assert len(result.architecture) == 2
 
     def test_result_carries_provenance_and_timings(self):
         result = run_flow(platform_spec("Bm1", policy="heuristic3"))
@@ -129,8 +169,6 @@ class TestCosynthesisEquivalence:
                     thermal=ThermalSpec(solver="gridmodel")
                 )
             )
-        from repro.flow import ArchitectureSpec
-
         with pytest.raises(FlowError):
             run_flow(
                 cosynthesis_spec("Bm1", config=FAST).with_(
@@ -148,10 +186,8 @@ class TestCosynthesisEquivalence:
 class TestPostPasses:
     def test_dvfs_pass_matches_legacy_reclaim(self, bm1):
         graph, library = bm1
-        legacy_schedule = platform_flow(
-            graph, library, policy_by_name("thermal")
-        ).schedule
-        legacy = reclaim_slack(legacy_schedule)
+        schedule, _ = reference_platform_run(graph, library, "thermal")
+        legacy = reclaim_slack(schedule)
         result = run_flow(
             round_trip(
                 platform_spec("Bm1", policy="thermal", dvfs=DVFSSpec(enabled=True))

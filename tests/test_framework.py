@@ -2,20 +2,12 @@
 
 import pytest
 
-from repro.core.heuristics import (
-    BaselinePolicy,
-    TaskEnergyPolicy,
-    ThermalPolicy,
-)
-from repro.cosynth.framework import (
-    CoSynthesisConfig,
-    CoSynthesisFramework,
-    platform_flow,
-    power_aware_cosynthesis,
-    thermal_aware_cosynthesis,
-)
+from repro.core.heuristics import TaskEnergyPolicy, ThermalPolicy
+from repro.cosynth.cost import power_final_cost, thermal_final_cost
+from repro.cosynth.framework import CoSynthesisConfig, CoSynthesisFramework
 from repro.errors import CoSynthesisError
 from repro.floorplan.genetic import GeneticConfig
+from repro.flow import platform_spec, run_flow
 
 #: A deliberately small search so framework tests stay fast.
 FAST = CoSynthesisConfig(
@@ -26,9 +18,23 @@ FAST = CoSynthesisConfig(
 )
 
 
+def power_aware(graph, library):
+    """Power-aware co-synthesis: H3 scheduling, power final cost."""
+    return CoSynthesisFramework(config=FAST).run(
+        graph, library, TaskEnergyPolicy(), final_cost=power_final_cost()
+    )
+
+
+def thermal_aware(graph, library):
+    """Thermal-aware co-synthesis (Figure 1a): temperature final cost."""
+    return CoSynthesisFramework(config=FAST).run(
+        graph, library, ThermalPolicy(), final_cost=thermal_final_cost()
+    )
+
+
 class TestPowerAwareCosynthesis:
     def test_returns_complete_design(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        result = power_aware(bm1, bm1_library)
         result.schedule.validate(bm1_library)
         result.floorplan.validate()
         assert set(result.floorplan.block_names()) >= {
@@ -37,25 +43,31 @@ class TestPowerAwareCosynthesis:
         assert result.meets_deadline
 
     def test_search_diagnostics(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        result = power_aware(bm1, bm1_library)
         assert result.candidates_screened > result.candidates_evaluated
         assert result.candidates_evaluated <= FAST.screening_keep
         assert len(result.screening_rows) == result.candidates_screened
 
     def test_deterministic(self, bm1, bm1_library):
-        a = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
-        b = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        a = power_aware(bm1, bm1_library)
+        b = power_aware(bm1, bm1_library)
         assert a.architecture.name == b.architecture.name
         assert a.evaluation.total_power == pytest.approx(b.evaluation.total_power)
 
     def test_default_policy_is_h3(self, bm1, bm1_library):
-        result = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        """The power-aware flow schedules with H3, and an H3 search left
+        to the framework's default final cost is ranked by power."""
+        result = power_aware(bm1, bm1_library)
         assert result.schedule.policy_name == "heuristic3"
+        default = CoSynthesisFramework(config=FAST).run(
+            bm1, bm1_library, TaskEnergyPolicy()
+        )
+        assert default.evaluation == result.evaluation
 
 
 class TestThermalAwareCosynthesis:
     def test_returns_thermal_schedule(self, bm1, bm1_library):
-        result = thermal_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        result = thermal_aware(bm1, bm1_library)
         # the Figure-1a backoff may reduce the weight but keeps the policy
         assert result.schedule.policy_name == "thermal"
         assert result.meets_deadline
@@ -68,8 +80,8 @@ class TestThermalAwareCosynthesis:
         thermal flow's actual objective (max + avg); the full-budget
         benchmark harness shows wins on both metrics separately.
         """
-        power = power_aware_cosynthesis(bm1, bm1_library, config=FAST)
-        thermal = thermal_aware_cosynthesis(bm1, bm1_library, config=FAST)
+        power = power_aware(bm1, bm1_library)
+        thermal = thermal_aware(bm1, bm1_library)
         power_combined = (
             power.evaluation.max_temperature + power.evaluation.avg_temperature
         )
@@ -103,21 +115,21 @@ class TestFrameworkMechanics:
 
 
 class TestPlatformFlow:
-    def test_default_platform_is_four_identical(self, bm1, bm1_library):
-        result = platform_flow(bm1, bm1_library, BaselinePolicy())
+    def test_default_platform_is_four_identical(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline"))
         assert len(result.architecture) == 4
         assert len(set(pe.type_name for pe in result.architecture)) == 1
 
-    def test_all_policies_meet_deadlines(self, bm1, bm1_library):
-        for policy in (BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(bm1, bm1_library, policy)
+    def test_all_policies_meet_deadlines(self, bm1_library):
+        for policy in ("baseline", "heuristic3", "thermal"):
+            result = run_flow(platform_spec("Bm1", policy=policy))
             assert result.meets_deadline
             result.schedule.validate(bm1_library)
 
-    def test_thermal_beats_h3_on_platform(self, bm1, bm1_library):
+    def test_thermal_beats_h3_on_platform(self):
         """Table 3's shape on one benchmark."""
-        power = platform_flow(bm1, bm1_library, TaskEnergyPolicy())
-        thermal = platform_flow(bm1, bm1_library, ThermalPolicy())
+        power = run_flow(platform_spec("Bm1", policy="heuristic3"))
+        thermal = run_flow(platform_spec("Bm1", policy="thermal"))
         assert (
             thermal.evaluation.avg_temperature
             < power.evaluation.avg_temperature
@@ -127,16 +139,12 @@ class TestPlatformFlow:
             < power.evaluation.max_temperature
         )
 
-    def test_custom_architecture(self, bm1, bm1_library):
-        from repro.library.presets import default_platform
-
-        result = platform_flow(
-            bm1, bm1_library, BaselinePolicy(), architecture=default_platform(2)
-        )
+    def test_custom_architecture(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline", count=2))
         assert len(result.architecture) == 2
 
-    def test_evaluation_consistency(self, bm1, bm1_library):
-        result = platform_flow(bm1, bm1_library, BaselinePolicy())
+    def test_evaluation_consistency(self):
+        result = run_flow(platform_spec("Bm1", policy="baseline"))
         evaluation = result.evaluation
         assert evaluation.total_power == pytest.approx(
             sum(evaluation.pe_powers.values())

@@ -3,31 +3,48 @@
 import pytest
 
 from repro import (
-    BaselinePolicy,
     GraphSpec,
     HotSpotModel,
-    TaskEnergyPolicy,
-    ThermalPolicy,
     default_platform,
     evaluate_schedule,
     generate_task_graph,
     generate_technology_library,
-    platform_flow,
     platform_floorplan,
+    platform_spec,
+    register_workload,
+    registered_source,
+    run_flow,
     schedule_graph,
 )
 from repro.analysis.compare import spearman_rank_correlation
 from repro.thermal.gridmodel import GridModel
 
+#: Registry name of the custom workload; unique to this module.
+CUSTOM_WORKLOAD = "test-integration-custom"
 
-@pytest.fixture(scope="module")
-def custom_workload():
+
+def _custom_workload():
     """A workload built through the public API only (no presets)."""
     spec = GraphSpec("custom", num_tasks=24, num_edges=29, deadline=1400.0)
     graph = generate_task_graph(spec, seed=77)
     task_types = sorted({t.task_type for t in graph})
     library = generate_technology_library(task_types, seed=78)
     return graph, library
+
+
+register_workload(CUSTOM_WORKLOAD, _custom_workload)
+
+
+@pytest.fixture(scope="module")
+def custom_workload():
+    return _custom_workload()
+
+
+def platform_run(policy: str):
+    """The platform flow (Figure 1b) on the registered custom workload."""
+    return run_flow(
+        platform_spec(policy=policy, graph=registered_source(CUSTOM_WORKLOAD))
+    )
 
 
 class TestFullPipeline:
@@ -59,25 +76,23 @@ class TestFullPipeline:
         assert peak < steady_peak + 40.0
         assert peak > model.package.ambient_c
 
-    def test_policies_rank_consistently_between_models(self, custom_workload):
+    def test_policies_rank_consistently_between_models(self):
         """Block-model policy ranking agrees with the grid model's."""
-        graph, library = custom_workload
         platform = default_platform()
         plan = platform_floorplan(platform)
         grid = GridModel(plan, rows=4, cols=16)
 
         block_peaks, grid_peaks = [], []
-        for policy in (BaselinePolicy(), TaskEnergyPolicy(), ThermalPolicy()):
-            result = platform_flow(graph, library, policy)
+        for policy in ("baseline", "heuristic3", "thermal"):
+            result = platform_run(policy)
             powers = result.schedule.average_powers()
             block_peaks.append(result.evaluation.max_temperature)
             grid_peaks.append(max(grid.block_temperatures(powers).values()))
         assert spearman_rank_correlation(block_peaks, grid_peaks) > 0.4
 
-    def test_evaluation_matches_scheduler_objective(self, custom_workload):
+    def test_evaluation_matches_scheduler_objective(self):
         """What the thermal policy optimised is what evaluation reports."""
-        graph, library = custom_workload
-        result = platform_flow(graph, library, ThermalPolicy())
+        result = platform_run("thermal")
         direct = evaluate_schedule(
             result.schedule, floorplan=result.floorplan
         )
@@ -96,11 +111,10 @@ class TestFullPipeline:
         assert schedule_graph(loose, platform, library).meets_deadline
         assert not schedule_graph(tight, platform, library).meets_deadline
 
-    def test_thermal_policy_flattens_spatial_gradient(self, custom_workload):
+    def test_thermal_policy_flattens_spatial_gradient(self):
         """The 'thermally even distribution' claim, measured on the grid."""
-        graph, library = custom_workload
-        baseline = platform_flow(graph, library, BaselinePolicy())
-        thermal = platform_flow(graph, library, ThermalPolicy())
+        baseline = platform_run("baseline")
+        thermal = platform_run("thermal")
 
         def spread(result):
             temps = result.evaluation.pe_temperatures

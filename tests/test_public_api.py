@@ -71,15 +71,11 @@ def test_errors_module_documented():
 
 #: Symbols the pre-flow API exported; they must all keep importing.
 LEGACY_SURFACE = [
-    "platform_flow",
-    "power_aware_cosynthesis",
-    "thermal_aware_cosynthesis",
     "CoSynthesisFramework",
     "reclaim_slack",
     "schedule_conditional",
     "policy_by_name",
     "POLICY_NAMES",
-    "PlatformResult",
     "CoSynthesisResult",
     "DVFSResult",
     "explore_allocations",
@@ -94,36 +90,15 @@ def test_legacy_surface_still_exported():
 
 
 class TestLegacyWrappersMatchFacade:
-    """Deprecated-but-working: legacy entry points == flow facade on Bm1."""
+    """The pre-flow entry points that stay public == flow facade on Bm1."""
 
     @pytest.fixture(scope="class")
     def bm1(self):
         graph = repro.benchmark("Bm1")
         return graph, repro.library_for_graph(graph)
 
-    def test_platform_flow_matches_facade(self, bm1):
-        graph, library = bm1
-        legacy = repro.platform_flow(graph, library, repro.ThermalPolicy())
-        facade = repro.run_flow(repro.platform_spec("Bm1", policy="thermal"))
-        assert legacy.evaluation == facade.evaluation
-        assert legacy.architecture.name == facade.architecture.name
-
-    def test_reclaim_slack_matches_facade(self, bm1):
-        graph, library = bm1
-        schedule = repro.platform_flow(
-            graph, library, repro.ThermalPolicy()
-        ).schedule
-        legacy = repro.reclaim_slack(schedule)
-        facade = repro.run_flow(
-            repro.platform_spec(
-                "Bm1", policy="thermal", dvfs=repro.DVFSSpec(enabled=True)
-            )
-        )
-        assert facade.dvfs is not None
-        assert legacy.energy_after == pytest.approx(facade.dvfs.energy_after)
-        assert legacy.makespan_after == pytest.approx(facade.dvfs.makespan_after)
-
     def test_thermal_aware_cosynthesis_matches_facade(self, bm1):
+        from repro.cosynth.cost import thermal_final_cost
         from repro.cosynth.framework import CoSynthesisConfig
         from repro.floorplan.genetic import GeneticConfig
 
@@ -134,7 +109,10 @@ class TestLegacyWrappersMatchFacade:
             refine_iterations=1,
             genetic_config=GeneticConfig(population_size=8, generations=4),
         )
-        legacy = repro.thermal_aware_cosynthesis(graph, library, config=fast)
+        legacy = repro.CoSynthesisFramework(config=fast).run(
+            graph, library, repro.ThermalPolicy(),
+            final_cost=thermal_final_cost(),
+        )
         facade = repro.run_flow(
             repro.cosynthesis_spec(
                 "Bm1", policy="thermal", config=fast, final_cost="thermal"

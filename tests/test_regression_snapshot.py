@@ -14,8 +14,8 @@ from repro import (
     TaskEnergyPolicy,
     ThermalPolicy,
     benchmark,
-    library_for_graph,
-    platform_flow,
+    platform_spec,
+    run_flow,
 )
 
 #: policy -> (total_pow, max_temp, avg_temp, makespan) for Bm1 on the
@@ -27,17 +27,10 @@ BM1_PLATFORM_SNAPSHOT = {
 }
 
 
-@pytest.fixture(scope="module")
-def bm1_workload():
-    graph = benchmark("Bm1")
-    return graph, library_for_graph(graph)
-
-
 @pytest.mark.parametrize("policy_cls", [BaselinePolicy, TaskEnergyPolicy, ThermalPolicy])
-def test_bm1_platform_snapshot(bm1_workload, policy_cls):
-    graph, library = bm1_workload
+def test_bm1_platform_snapshot(policy_cls):
     policy = policy_cls()
-    evaluation = platform_flow(graph, library, policy).evaluation
+    evaluation = run_flow(platform_spec("Bm1", policy=policy.name)).evaluation
     expected = BM1_PLATFORM_SNAPSHOT[policy.name]
     measured = (
         evaluation.total_power,

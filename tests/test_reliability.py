@@ -74,13 +74,12 @@ class TestReport:
         row = reliability_report({"a": 80.0}).as_row()
         assert {"ref_temp_C", "system_mttf_factor", "worst_pe"} <= set(row)
 
-    def test_thermal_aware_schedule_lives_longer(self, bm1, bm1_library):
+    def test_thermal_aware_schedule_lives_longer(self):
         """End-to-end: the paper's reliability motivation, quantified."""
-        from repro.core.heuristics import BaselinePolicy, ThermalPolicy
-        from repro.cosynth.framework import platform_flow
+        from repro.flow import platform_spec, run_flow
 
-        base = platform_flow(bm1, bm1_library, BaselinePolicy())
-        thermal = platform_flow(bm1, bm1_library, ThermalPolicy())
+        base = run_flow(platform_spec("Bm1", policy="baseline"))
+        thermal = run_flow(platform_spec("Bm1", policy="thermal"))
         report_base = reliability_report(base.evaluation.pe_temperatures)
         report_thermal = reliability_report(thermal.evaluation.pe_temperatures)
         assert (
