@@ -217,7 +217,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "__version__",

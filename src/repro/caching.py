@@ -5,11 +5,12 @@ the *same* eviction story so operators reason about one policy:
 
 * :class:`LRUCache` — a thread-safe, size-aware LRU used by the serving
   layer's :class:`~repro.serve.cache.EngineCache` (precomputed thermal
-  engines and built workloads are expensive to make and cheap to keep —
-  until they aren't).  Entries are bounded by count and/or by a
-  caller-estimated byte size; hits refresh recency, eviction drops the
-  least recently used entry first, and hit/miss/eviction counters are
-  kept for the ``/stats`` endpoint.
+  engines are expensive to make and cheap to keep — until they aren't)
+  and by the process workload memo of
+  :func:`~repro.scenarios.workloads.build_workload`.  Entries are
+  bounded by count and/or by a caller-estimated byte size; hits refresh
+  recency, eviction drops the least recently used entry first, and
+  hit/miss/eviction counters are kept for the ``/stats`` endpoint.
 * :func:`prune_dir` — the on-disk twin for file caches that only grow
   (the ``run_many`` result cache).  "Least recently used" on disk is
   oldest-mtime-first; the sweep removes files until the directory fits
@@ -31,7 +32,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .errors import ReproError
 
-__all__ = ["LRUCache", "PruneResult", "prune_dir"]
+__all__ = ["DEFAULT_MAX_ENTRIES", "LRUCache", "PruneResult", "prune_dir"]
+
+#: Default entry budget of the in-memory caches: the workload memo, and
+#: the serve platform cache unless ``--cache-entries`` says otherwise.
+DEFAULT_MAX_ENTRIES = 32
 
 
 class LRUCache:

@@ -1340,9 +1340,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the scheduling daemon (warm engine cache, worker pool)",
         description=(
             "Long-lived scheduling-as-a-service daemon.  Clients POST "
-            "FlowSpec JSON to /run; platforms and workloads stay warm in "
-            "a content-hash-keyed LRU between requests.  See "
-            "docs/SERVING.md."
+            "FlowSpec JSON to /run; thermal platforms stay warm in a "
+            "content-hash-keyed LRU between requests, workloads in the "
+            "process workload memo.  See docs/SERVING.md."
         ),
     )
     serve_p.add_argument("--host", default="127.0.0.1", help="bind address")
@@ -1361,12 +1361,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_p.add_argument(
         "--cache-entries", type=int, default=32,
-        help="per-layer engine cache entry budget; 0 disables caching "
-        "(default: 32)",
+        help="platform cache entry budget; 0 disables platform caching "
+        "(default: 32; the workload memo keeps its own 32-entry bound)",
     )
     serve_p.add_argument(
         "--cache-bytes", type=int, default=None,
-        help="per-layer engine cache byte budget (default: unbounded)",
+        help="platform cache byte budget (default: unbounded)",
     )
     serve_p.add_argument(
         "--store", default=None, metavar="DIR",

@@ -472,13 +472,14 @@ class ServeHandlerRule(LintRule):
 
     The daemon's latency contract holds because connection handling
     (``server.py``), wire parsing (``protocol.py``) and the client
-    (``client.py``) only parse, enqueue, and wait — model construction
-    and solving live behind the worker pool and the engine cache
-    (``workers.py``/``cache.py`` are the allowed consumers).  A
-    ``Flow(...)`` or ``build_workload(...)`` creeping into the handler
-    path would run a full platform build on a connection thread,
-    blocking every queued client behind one cold request and bypassing
-    the cache the daemon exists to serve from.
+    (``client.py``) only parse, enqueue, and wait — execution lives
+    behind the worker pool (``workers.py``), and platform construction
+    in ``repro/flow/runner.py`` (``build_platform``), which the worker's
+    flow and the engine cache (``cache.py``) call.  A ``Flow(...)`` or
+    ``build_workload(...)`` creeping into the handler path would run a
+    full platform build on a connection thread, blocking every queued
+    client behind one cold request and bypassing the cache the daemon
+    exists to serve from.
     """
 
     rule_id = "SRV001"
@@ -486,8 +487,8 @@ class ServeHandlerRule(LintRule):
     rationale = "daemon latency: handlers parse/enqueue/wait only"
 
     #: The handler-path modules this rule polices.  workers.py and
-    #: cache.py are deliberately absent — they are where execution and
-    #: construction are *supposed* to happen.
+    #: cache.py are deliberately absent — execution happens in workers.py,
+    #: and cache.py reaches construction through flow/runner.py.
     HANDLER_MODULES = frozenset({
         "repro/serve/server.py",
         "repro/serve/protocol.py",
@@ -518,10 +519,10 @@ class ServeHandlerRule(LintRule):
             if banned:
                 yield ctx.violation(
                     self.rule_id, call,
-                    f"{name}() on the serve handler path; construction and "
-                    f"execution belong behind the worker pool "
-                    f"(repro/serve/workers.py) and the engine cache "
-                    f"(repro/serve/cache.py)",
+                    f"{name}() on the serve handler path; execution belongs "
+                    f"behind the worker pool (repro/serve/workers.py) and "
+                    f"construction in repro/flow/runner.py, reached through "
+                    f"the engine cache (repro/serve/cache.py)",
                 )
 
 

@@ -74,12 +74,12 @@ _CACHE_SUFFIX = ".flowresult.pkl"
 #: disk, a registered factory).  ``spec_hash`` cannot see their content,
 #: so the persistent cache would happily replay a stale result after the
 #: file or factory changed — these kinds always recompute.
-_UNCACHEABLE_GRAPH_KINDS = ("file", "registered")
+_EXTERNAL_GRAPH_KINDS = ("file", "registered")
 
 
 def _cacheable(spec: FlowSpec) -> bool:
     """Whether *spec* is fully determined by its own JSON."""
-    return spec.graph.kind not in _UNCACHEABLE_GRAPH_KINDS
+    return spec.graph.kind not in _EXTERNAL_GRAPH_KINDS
 
 
 def _cache_path(cache_dir: Path, digest: str) -> Path:

@@ -53,11 +53,28 @@ from ..thermal.package import default_package
 from .registry import FLOORPLANNERS, FLOWS, THERMAL_SOLVERS, build_policy
 from .spec import ArchitectureSpec, FloorplanSpec, FlowSpec, spec_hash
 
-__all__ = ["Flow", "FlowResult", "PrebuiltPlatform", "run_flow"]
+__all__ = [
+    "Flow",
+    "FlowResult",
+    "PrebuiltPlatform",
+    "build_platform",
+    "platform_floorplan_spec",
+    "run_flow",
+]
 
 
-def _check_workload(spec: FlowSpec, graph: Any) -> None:
-    """Reject graph/conditional-flag mismatches (cached or fresh alike)."""
+def _build_workload(spec: FlowSpec) -> Tuple[Any, Any]:
+    """(graph-or-CTG, library) for *spec*, shared across runs in-process.
+
+    Rejects graph/conditional-flag mismatches, memo hit or fresh alike.
+    """
+    # late import: repro.scenarios imports repro.flow.spec for its grid
+    # layer, so binding it at module import time would be cyclic
+    from ..scenarios.workloads import build_workload
+
+    graph, library = build_workload(
+        spec.graph, spec.library, spec.conditional.guard_probabilities
+    )
     is_ctg = isinstance(graph, ConditionalTaskGraph)
     if spec.conditional.enabled and not is_ctg:
         raise FlowError(
@@ -69,18 +86,6 @@ def _check_workload(spec: FlowSpec, graph: Any) -> None:
             f"workload {graph.name!r} is a conditional task graph; "
             f"set conditional.enabled = True"
         )
-
-
-def _build_workload(spec: FlowSpec) -> Tuple[Any, Any]:
-    """(graph-or-CTG, library) for *spec*, shared across runs in-process."""
-    # late import: repro.scenarios imports repro.flow.spec for its grid
-    # layer, so binding it at module import time would be cyclic
-    from ..scenarios.workloads import build_workload
-
-    graph, library = build_workload(
-        spec.graph, spec.library, spec.conditional.guard_probabilities
-    )
-    _check_workload(spec, graph)
     return graph, library
 
 
@@ -105,6 +110,16 @@ def _build_architecture(spec: FlowSpec) -> Architecture:
             f"set architecture.pe (available: {catalogue.type_names()})"
         )
     return Architecture.homogeneous(arch.name, catalogue.pe_type(pe_name), arch.count)
+
+
+def platform_floorplan_spec(spec: FlowSpec) -> FloorplanSpec:
+    """The floorplan sub-spec of a platform flow, default resolved.
+
+    ``floorplan=None`` means ``FloorplanSpec(kind="platform")``.  The
+    platform build and the serve cache key both resolve it here, so a
+    defaulted spec and an explicit default build and hash alike.
+    """
+    return spec.floorplan or FloorplanSpec(kind="platform")
 
 
 def _build_package(spec: FlowSpec):
@@ -222,19 +237,44 @@ class _FlowOutcome:
 
 @dataclass
 class PrebuiltPlatform:
-    """A ready-to-schedule platform leased from a warm cache.
+    """A ready-to-schedule platform: what :func:`build_platform` returns.
 
-    Carries exactly what :func:`_platform_runner` would otherwise build
-    from the spec: the architecture, the laid-out floorplan, and a
-    thermal model whose network/factorisation/query engine are already
-    constructed (see :meth:`repro.thermal.HotSpotModel.from_prebuilt`).
-    The thermal model must be a *fresh lease* — its query counters start
-    at zero so the served result's diagnostics describe this run only.
+    The architecture, the laid-out floorplan, and the thermal model
+    over them.  A warm cache hands :func:`_platform_runner` one whose
+    thermal model is a *fresh lease* over already-constructed
+    network/factorisation/query engine (see
+    :meth:`repro.thermal.HotSpotModel.from_prebuilt`) — its query
+    counters start at zero so the result's diagnostics describe this
+    run only.
     """
 
     architecture: Architecture
     floorplan: Floorplan
     thermal: Any
+
+
+def build_platform(spec: FlowSpec) -> PrebuiltPlatform:
+    """Figure 1b's platform: architecture, floorplan, then thermal model.
+
+    The one construction site of a platform — the platform flow calls it
+    when no warm lease is offered, and the serve engine cache calls it on
+    a miss — inside the ``flow.floorplan`` / ``flow.thermal_build`` spans,
+    so a trace shows every cold build and no warm one.
+    """
+    rec = get_recorder()
+    with rec.span("flow.floorplan"):
+        architecture = _build_architecture(spec)
+        floorplan_spec = platform_floorplan_spec(spec)
+        floorplan = FLOORPLANNERS.get(floorplan_spec.kind)(
+            architecture, floorplan_spec
+        )
+    with rec.span("flow.thermal_build", solver=spec.thermal.solver):
+        thermal = THERMAL_SOLVERS.get(spec.thermal.solver)(
+            floorplan, _build_package(spec), spec.thermal
+        )
+    return PrebuiltPlatform(
+        architecture=architecture, floorplan=floorplan, thermal=thermal
+    )
 
 
 # ----------------------------------------------------------------------
@@ -247,27 +287,16 @@ def _platform_runner(
 
     With *prebuilt* given (the serving layer's warm path), the
     architecture/floorplan/thermal triple is taken as-is instead of
-    being rebuilt — the schedule and evaluation that follow are
-    byte-identical either way, because the prebuilt parts are functions
-    of the same spec fields they replace.
+    calling :func:`build_platform` — the schedule and evaluation that
+    follow are byte-identical either way, because the prebuilt parts
+    are functions of the same spec fields.
     """
     rec = get_recorder()
-    if prebuilt is not None:
-        architecture = prebuilt.architecture
-        floorplan = prebuilt.floorplan
-        thermal = prebuilt.thermal
-    else:
-        with rec.span("flow.floorplan"):
-            architecture = _build_architecture(spec)
-            floorplan_spec = spec.floorplan or FloorplanSpec(kind="platform")
-            floorplan = FLOORPLANNERS.get(floorplan_spec.kind)(
-                architecture, floorplan_spec
-            )
-        with rec.span("flow.thermal_build", solver=spec.thermal.solver):
-            package = _build_package(spec)
-            thermal = THERMAL_SOLVERS.get(spec.thermal.solver)(
-                floorplan, package, spec.thermal
-            )
+    if prebuilt is None:
+        prebuilt = build_platform(spec)
+    architecture = prebuilt.architecture
+    floorplan = prebuilt.floorplan
+    thermal = prebuilt.thermal
     policy = build_policy(spec.policy)
 
     if spec.conditional.enabled:
@@ -407,10 +436,7 @@ def _accepts_prebuilt(runner: Any) -> bool:
 
 
 def _obs_summary(
-    trace_id: str,
-    timings: Dict[str, float],
-    diagnostics: Dict[str, Any],
-    provenance: Dict[str, Any],
+    trace_id: str, timings: Dict[str, float], diagnostics: Dict[str, Any]
 ) -> Dict[str, Any]:
     """The per-run obs digest stored in provenance (traced runs only).
 
@@ -429,9 +455,6 @@ def _obs_summary(
         summary["scheduler_fast_hit_rate"] = round(
             (candidates - requeries) / candidates, 4
         )
-    engine_cache = provenance.get("engine_cache")
-    if engine_cache is not None:
-        summary["engine_cache"] = dict(engine_cache)
     return summary
 
 
@@ -453,16 +476,17 @@ def _record_flow_metrics(rec: Any, diagnostics: Dict[str, Any]) -> None:
 class Flow:
     """Facade executing declarative :class:`FlowSpec` configurations.
 
-    Stateless apart from the process-wide workload memo; one instance can
-    run any number of specs (and is what :func:`~repro.flow.batch.run_many`
+    Stateless apart from the process-wide workload memo of
+    :func:`~repro.scenarios.workloads.build_workload`, which every run
+    builds its ``(graph, library)`` pair through; one instance can run
+    any number of specs (and is what :func:`~repro.flow.batch.run_many`
     workers use).
 
-    *cache* optionally attaches a warm-state provider (duck-typed; the
-    serving layer's :class:`~repro.serve.cache.EngineCache`).  It may
-    expose ``workload_for(spec) -> (graph, library) | None`` and
-    ``platform_for(spec) -> PrebuiltPlatform | None``; ``None`` from
-    either hook means "bypass" and the facade builds from scratch.  The
-    hooks only short-circuit *construction* — scheduling and evaluation
+    *cache* optionally attaches a warm platform provider (duck-typed;
+    the serving layer's :class:`~repro.serve.cache.EngineCache`) exposing
+    ``platform_for(spec) -> PrebuiltPlatform | None``; ``None`` means
+    "bypass" and the runner calls :func:`build_platform` itself.  The
+    hook only short-circuits *construction* — scheduling and evaluation
     always run, and their outputs are byte-identical with or without the
     cache (the warm state is a function of the same spec fields).
     """
@@ -484,14 +508,7 @@ class Flow:
             "flow", trace=digest[:16], flow=spec.flow, policy=spec.policy.name
         ) as root:
             with rec.span("flow.library", graph=spec.graph.name) as phase:
-                pair = None
-                if self.cache is not None and hasattr(self.cache, "workload_for"):
-                    pair = self.cache.workload_for(spec)
-                if pair is not None:
-                    graph, library = pair
-                    _check_workload(spec, graph)
-                else:
-                    graph, library = _build_workload(spec)
+                graph, library = _build_workload(spec)
             timings["build"] = phase.elapsed
 
             with rec.span("flow.run", kind=spec.flow) as phase:
@@ -568,18 +585,9 @@ class Flow:
                 "cache_hit": False,
                 "elapsed_s": round(root.elapsed, 6),
             }
-            if self.cache is not None:
-                # provenance only — which construction stages the attached
-                # cache actually short-circuited for this run
-                provenance["engine_cache"] = {
-                    "workload": pair is not None,
-                    "platform": prebuilt is not None,
-                }
             diagnostics = dict(outcome.diagnostics)
             if rec.enabled:
-                provenance["obs"] = _obs_summary(
-                    digest[:16], timings, diagnostics, provenance
-                )
+                provenance["obs"] = _obs_summary(digest[:16], timings, diagnostics)
                 _record_flow_metrics(rec, diagnostics)
             return FlowResult(
                 spec=spec,

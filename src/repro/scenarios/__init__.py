@@ -44,6 +44,7 @@ from .workloads import (
     clear_workload_cache,
     register_workload,
     workload_by_name,
+    workload_cache_stats,
     workload_names,
 )
 
@@ -73,4 +74,5 @@ __all__ = [
     "build_graph",
     "build_workload",
     "clear_workload_cache",
+    "workload_cache_stats",
 ]

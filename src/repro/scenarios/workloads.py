@@ -3,7 +3,8 @@
 This module is the single place a :class:`~repro.flow.GraphSourceSpec`
 turns into a concrete ``(graph, technology library)`` pair.  It backs
 :meth:`repro.flow.Flow.run`, :mod:`repro.experiments.workloads`, and the
-CLI alike, and memoises per process so sweeps over policies never
+CLI alike, and memoises per process — one bounded, thread-safe LRU
+that the serve daemon shares too — so sweeps over policies never
 regenerate identical substrates.
 
 Source kinds:
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..caching import DEFAULT_MAX_ENTRIES, LRUCache
 from ..errors import FlowError, FlowSpecError, TaskGraphError
 from ..library.catalogues import catalogue_by_name
 from ..library.presets import (
@@ -52,6 +54,7 @@ __all__ = [
     "build_graph",
     "build_workload",
     "clear_workload_cache",
+    "workload_cache_stats",
 ]
 
 WORKLOADS = Registry("workload")
@@ -82,12 +85,17 @@ def workload_names() -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 # construction (memoised per process)
 # ----------------------------------------------------------------------
-_CACHE: Dict[Tuple, Tuple[Any, TechnologyLibrary]] = {}
+_MEMO = LRUCache(max_entries=DEFAULT_MAX_ENTRIES)
 
 
 def clear_workload_cache() -> None:
     """Drop the per-process workload memo (tests; registered reloads)."""
-    _CACHE.clear()
+    _MEMO.clear()
+
+
+def workload_cache_stats() -> Dict[str, int]:
+    """Hit/miss/eviction counters + occupancy of the workload memo."""
+    return _MEMO.stats()
 
 
 def _override_guards(
@@ -209,19 +217,21 @@ def build_workload(
 
     The graph comes from :func:`build_graph`; the library is generated
     over the named catalogue unless a registered workload supplies its
-    own.  Guard overrides apply to conditional graphs only.
-    ``memo=False`` bypasses the per-process memo entirely (no read, no
-    write) — callers with their own bounded cache (the serving layer's
-    ``EngineCache``) use it so the unbounded process dict never grows
-    behind their eviction policy's back.
+    own.  Guard overrides apply to conditional graphs only.  Pairs are
+    memoised in one thread-safe LRU of ``DEFAULT_MAX_ENTRIES`` entries.
+    ``memo=False`` bypasses the memo entirely (no read, no write) — for
+    validation rebuilds, which must not be handed the very objects
+    under test.
     """
     # file-sourced graphs live on disk and can change under the memo's
     # feet; everything else is fully determined by the spec (registered
     # factories cannot be swapped — the registry forbids re-registration)
     memoisable = memo and graph_spec.kind != "file"
     key = (graph_spec, library_spec, tuple(guard_probabilities))
-    if memoisable and key in _CACHE:
-        return _CACHE[key]
+    if memoisable:
+        pair = _MEMO.get(key)
+        if pair is not None:
+            return pair
 
     catalogue = catalogue_by_name(library_spec.catalogue)
     library: Optional[TechnologyLibrary] = None
@@ -252,5 +262,5 @@ def build_workload(
             )
 
     if memoisable:
-        _CACHE[key] = (graph, library)
+        _MEMO.put(key, (graph, library))
     return graph, library

@@ -6,8 +6,9 @@ the full cold cost again — graph generation, technology library,
 floorplan layout, RC network assembly, Cholesky factorisation, query
 engine setup — before the first scheduling decision.  The serve layer
 keeps that state **resident**: a long-lived daemon holds an
-:class:`~repro.serve.cache.EngineCache` of prebuilt workloads and
-thermal platforms keyed by sub-spec content hashes, so any client whose
+:class:`~repro.serve.cache.EngineCache` of prebuilt thermal platforms
+keyed by sub-spec content hashes, next to the process workload memo of
+:func:`~repro.scenarios.workloads.build_workload`, so any client whose
 spec shares a platform with an earlier request schedules against warm
 engines and pays only the scheduling cost.
 
@@ -15,7 +16,9 @@ Pieces:
 
 * :mod:`~repro.serve.protocol` — the HTTP/JSON wire format (a thin
   envelope around ``FlowSpec.to_dict`` and ``RunRecord.to_dict``);
-* :mod:`~repro.serve.cache` — sub-spec hashing + the LRU engine cache;
+* :mod:`~repro.serve.cache` — sub-spec hashing + the platform LRU (it
+  builds nothing itself: a miss calls
+  :func:`~repro.flow.runner.build_platform`);
 * :mod:`~repro.serve.workers` — the bounded queue and worker pool that
   execute requests against the shared cache;
 * :mod:`~repro.serve.server` — the daemon (``repro serve``);
@@ -41,11 +44,9 @@ from __future__ import annotations
 from .cache import (
     EngineCache,
     floorplan_subspec_hash,
-    library_subspec_hash,
     platform_cache_key,
     solver_subspec_hash,
     subspec_hash,
-    workload_cache_key,
 )
 from .client import ServeClient
 from .protocol import PROTOCOL_VERSION
@@ -63,7 +64,5 @@ __all__ = [
     "subspec_hash",
     "floorplan_subspec_hash",
     "solver_subspec_hash",
-    "library_subspec_hash",
     "platform_cache_key",
-    "workload_cache_key",
 ]

@@ -105,15 +105,6 @@ class HotSpotModel:
         model._queries = 0
         return model
 
-    def attach_engine(self, engine: ThermalQueryEngine) -> None:
-        """Inject a precomputed query engine (block order must match)."""
-        if engine.block_names != tuple(self._block_names):
-            raise ThermalError(
-                f"engine blocks {list(engine.block_names)} do not match "
-                f"model blocks {self._block_names}"
-            )
-        self._engine = engine
-
     # ------------------------------------------------------------------
     @property
     def block_names(self) -> List[str]:

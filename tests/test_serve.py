@@ -14,14 +14,22 @@ The load-bearing pins:
 """
 
 import json
+import sys
+import threading
 
 import pytest
 
 from repro.cli import main
 from repro.errors import ServeError
 from repro.flow import Flow, platform_spec
-from repro.flow.spec import FloorplanSpec, FlowSpec
+from repro.flow.spec import FloorplanSpec, FlowSpec, generated_source
+from repro.obs import capture
 from repro.results import ResultStore
+from repro.scenarios.workloads import (
+    build_workload,
+    clear_workload_cache,
+    workload_cache_stats,
+)
 from repro.serve import (
     EngineCache,
     ServeClient,
@@ -30,11 +38,9 @@ from repro.serve import (
     WorkerPool,
     QueueFullError,
     floorplan_subspec_hash,
-    library_subspec_hash,
     platform_cache_key,
     solver_subspec_hash,
     subspec_hash,
-    workload_cache_key,
 )
 from repro.serve import protocol
 
@@ -114,17 +120,14 @@ class TestSubSpecHashes:
         spec = bm1_spec()
         assert floorplan_subspec_hash(spec) == "dca817a3c93b0ad6459a"
         assert solver_subspec_hash(spec) == "11ad25683f3408c70246"
-        assert library_subspec_hash(spec) == "0a046cf9ca71718cc0c0"
         assert platform_cache_key(spec) == (
             "dca817a3c93b0ad6459a:11ad25683f3408c70246"
         )
-        assert workload_cache_key(spec) == "0a046cf9ca71718cc0c0"
         assert subspec_hash({}) == "44136fa355b3678a1146"
 
     def test_policy_weight_change_preserves_both_keys(self):
         a, b = bm1_spec(), bm1_spec(weight=0.7)
         assert platform_cache_key(a) == platform_cache_key(b)
-        assert workload_cache_key(a) == workload_cache_key(b)
 
     def test_defaulted_and_explicit_platform_floorplan_hash_alike(self):
         defaulted = bm1_spec()
@@ -138,26 +141,97 @@ class TestSubSpecHashes:
 
     def test_graph_change_moves_workload_key_not_platform_key(self):
         a, b = bm1_spec(), platform_spec("Bm2", policy="thermal")
-        assert workload_cache_key(a) != workload_cache_key(b)
         assert platform_cache_key(a) == platform_cache_key(b)
 
     def test_floorplan_change_moves_platform_key_not_workload_key(self):
         a = bm1_spec()
         b = bm1_spec(floorplan=FloorplanSpec(kind="genetic"))
         assert platform_cache_key(a) != platform_cache_key(b)
-        assert workload_cache_key(a) == workload_cache_key(b)
 
 
 # ----------------------------------------------------------------------
 # the engine cache
 # ----------------------------------------------------------------------
+def _workload(spec):
+    return build_workload(
+        spec.graph, spec.library, spec.conditional.guard_probabilities
+    )
+
+
 class TestEngineCache:
     def test_workload_hit_returns_the_cached_pair(self):
-        cache = EngineCache()
-        pair = cache.workload_for(bm1_spec())
-        again = cache.workload_for(bm1_spec(weight=0.7))
+        clear_workload_cache()
+        hits = workload_cache_stats()["hits"]
+        pair = _workload(bm1_spec())
+        again = _workload(bm1_spec(weight=0.7))
         assert again[0] is pair[0] and again[1] is pair[1]
-        assert cache.workloads.stats()["hits"] == 1
+        assert workload_cache_stats()["hits"] == hits + 1
+        clear_workload_cache()
+        rebuilt = _workload(bm1_spec())
+        assert rebuilt[0] is not pair[0] and rebuilt[1] is not pair[1]
+
+    def test_workload_memo_evicts_least_recently_used(self):
+        clear_workload_cache()
+        specs = [
+            platform_spec(
+                policy="thermal",
+                graph=generated_source("layered", tasks=12, seed=seed),
+            )
+            for seed in range(33)
+        ]
+        first = Flow().run(specs[0])
+        pair = _workload(specs[0])
+        evictions = workload_cache_stats()["evictions"]
+        for spec in specs[1:]:
+            _workload(spec)
+        assert workload_cache_stats()["evictions"] == evictions + 1
+        assert workload_cache_stats()["entries"] == 32
+        rebuilt = _workload(specs[0])
+        assert rebuilt[0] is not pair[0]
+        again = Flow().run(specs[0])
+        assert comparable(again.as_record(suite="s").to_dict()) == comparable(
+            first.as_record(suite="s").to_dict()
+        )
+
+    def test_workload_memo_is_thread_safe(self):
+        # serve workers share the memo: a lost counter update or a torn
+        # eviction under contention breaks these invariants
+        specs = [
+            platform_spec(graph=generated_source("layered", tasks=8, seed=seed))
+            for seed in range(40)
+        ]
+        before = workload_cache_stats()
+        errors = []
+
+        def worker(offset):
+            try:
+                for index in range(50):
+                    spec = specs[(offset * 7 + index) % len(specs)]
+                    graph, _library = _workload(spec)
+                    assert graph.name == _workload(spec)[0].name
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,)) for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        after = workload_cache_stats()
+        lookups = (after["hits"] - before["hits"]) + (
+            after["misses"] - before["misses"]
+        )
+        assert lookups == 8 * 50 * 2
+        assert after["entries"] <= 32
 
     def test_platform_leases_are_isolated_but_share_arrays(self):
         cache = EngineCache()
@@ -191,17 +265,19 @@ class TestEngineCache:
         assert cache.platform_for(spec) is None
         assert cache.stats()["platform_bypasses"] == 1
 
-    def test_flow_marks_engine_cache_provenance(self):
+    def test_trace_shows_cold_build_then_warm_lease(self):
         cache = EngineCache()
-        spec = bm1_spec()
-        cold = Flow(cache=cache).run(spec)
-        warm = Flow(cache=cache).run(spec)
-        assert warm.provenance["engine_cache"] == {
-            "workload": True, "platform": True,
-        }
-        assert cold.provenance["engine_cache"] == {
-            "workload": True, "platform": True,
-        }  # workload_for always returns a pair; both runs lease fine
+        spec = bm1_spec(floorplan=FloorplanSpec(kind="genetic"))
+        build_spans = {"flow.floorplan", "flow.thermal_build"}
+        with capture() as cold:
+            Flow(cache=cache).run(spec)
+        with capture() as warm:
+            Flow(cache=cache).run(spec)
+        cold_names = {span["name"] for span in cold.export_spans()}
+        warm_names = {span["name"] for span in warm.export_spans()}
+        assert build_spans <= cold_names
+        assert not build_spans & warm_names
+        assert "flow.schedule" in warm_names
 
     def test_cached_flow_result_matches_uncached(self):
         cache = EngineCache()
