@@ -39,9 +39,9 @@ the stored :class:`~repro.results.RunSet` — see docs/RESULTS.md.
 
 Every layer is observable through :mod:`repro.obs` — hierarchical
 spans, a metrics registry, Chrome-trace/Prometheus exporters — at zero
-cost until a recorder is enabled (``repro trace record``, the serve
-daemon's ``/metrics``, or ``repro.obs.capture()``); see
-docs/OBSERVABILITY.md.
+cost until a recorder is enabled (``repro trace record``, the one CLI
+profiling front end; the serve daemon's ``/metrics``; or
+``repro.obs.capture()``); see docs/OBSERVABILITY.md.
 
 The same flows are scriptable from the shell (``python -m repro --help``:
 ``run`` / ``sweep`` / ``scenarios`` / ``results`` / ``experiments`` /
@@ -217,7 +217,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.12.0"
+__version__ = "1.13.0"
 
 __all__ = [
     "__version__",

@@ -15,8 +15,8 @@ Subcommands over the unified flow + scenario + results API::
     python -m repro results export --store runs/ --format csv
     python -m repro results report summary --store runs/      # analyzers
     python -m repro workloads list                            # graph sources
-    python -m repro bench --benchmarks Bm1 Bm2                # profiling
-    python -m repro trace record -o trace.json --benchmarks Bm1  # spans
+    python -m repro trace record --repeat 3 -o trace.json     # profiling
+    python -m repro trace record --flow cosynthesis --json    # co-synthesis
     python -m repro trace summarize trace.json                # phase table
     python -m repro lint src benchmarks examples              # invariants
     python -m repro experiments table3                        # paper artefacts
@@ -206,18 +206,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+def _grid_specs(args: argparse.Namespace) -> List[FlowSpec]:
+    """The ``--benchmarks`` x ``--policies`` grid of ``--flow`` specs."""
+    builder = cosynthesis_spec if args.flow == "cosynthesis" else platform_spec
+    return [
+        builder(bench, policy=policy)
+        for bench in args.benchmarks
+        for policy in args.policies
+    ]
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis.report import format_table
 
-    specs: List[FlowSpec] = []
-    for bench in args.benchmarks:
-        for policy in args.policies:
-            if args.flow == "cosynthesis":
-                specs.append(cosynthesis_spec(bench, policy=policy))
-            else:
-                specs.append(platform_spec(bench, policy=policy))
     results = run_many(
-        specs, workers=args.workers, cache_dir=args.cache_dir, store=args.store
+        _grid_specs(args),
+        workers=args.workers,
+        cache_dir=args.cache_dir,
+        store=args.store,
     )
     rows = [r.as_row() for r in results]
     if args.json:
@@ -506,105 +512,96 @@ def _cmd_results_fsck(args: argparse.Namespace) -> int:
     return 0 if (report.repaired or report.ok()) else 1
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Profile flows: per-phase span time, solve counts, fast-path rates.
+def _cmd_trace_record(args: argparse.Namespace) -> int:
+    """Profile a flow grid under a span recorder; print it, write the trace.
 
-    Each repetition runs under an isolated :func:`repro.obs.capture`
-    recorder; the per-phase columns come from the best repetition's
-    span tree (``flow``/``flow.library``/``flow.run``), the counts from
-    FlowResult diagnostics — the same numbers a stored trace or record
-    carries, so offline profiling agrees with this table.  ``--trace``
-    additionally writes the best repetition's spans as a Chrome trace.
+    Each repetition is one :func:`run_many` call over the whole grid in
+    an isolated :func:`repro.obs.capture`.  Spans group into flows by
+    their ``trace`` id (``spec_hash[:16]``, which merged pool-worker
+    spans carry too), and each flow keeps its fastest repetition by its
+    ``flow`` span.  The phase columns come from that repetition's spans,
+    the counters from its diagnostics and the fast-path rate from its
+    obs digest — the numbers a stored record carries.  The file gets
+    every flow's kept spans, plus the untraced ones (pool waits) of the
+    repetitions that were kept for some flow.
     """
     from .analysis.report import format_table
-    from .flow import platform_spec
     from .obs import capture
-    from .obs.export import phase_totals, write_chrome_trace
+    from .obs.export import phase_summary, write_chrome_trace, write_jsonl
 
-    rows: List[Dict[str, Any]] = []
-    best_spans: List[Dict[str, Any]] = []
-    for bench in args.benchmarks:
-        for policy in args.policies:
-            spec = platform_spec(bench, policy=policy)
-            best = None
-            result = None
-            for _ in range(max(1, args.repeat)):
-                with capture() as recorder:
-                    result = run_many([spec])[0]
-                spans = recorder.export_spans()
-                totals = phase_totals(spans)
-                elapsed = totals.get("flow", 0.0)
-                if best is None or elapsed < best[0]:
-                    best = (elapsed, totals, spans)
-            elapsed, totals, spans = best
-            best_spans.extend(spans)
-            thermal = result.diagnostics.get("thermal_query", {}) or {}
-            scheduler = result.diagnostics.get("scheduler", {}) or {}
-            candidates = scheduler.get("candidates_evaluated", 0)
-            fast = scheduler.get("thermal_fast_queries", 0)
-            requeried = scheduler.get("thermal_exact_requeries", 0)
-            rows.append(
-                {
-                    "benchmark": bench,
-                    "policy": policy,
-                    "elapsed_s": round(elapsed, 4),
-                    "build_s": round(totals.get("flow.library", 0.0), 4),
-                    "run_s": round(totals.get("flow.run", 0.0), 4),
-                    "candidates": candidates,
-                    "hotspot_queries": result.diagnostics.get(
-                        "hotspot_queries", 0
-                    ),
-                    "solver_solves": thermal.get("solver_solves", 0),
-                    "fast_queries": fast,
-                    "exact_requeries": requeried,
-                    # candidates settled by the O(1) ranking alone, without
-                    # an exact near-tie re-solve
-                    "fast_hit_rate": (
-                        round((candidates - requeried) / candidates, 4)
-                        if fast and candidates
-                        else 0.0
-                    ),
-                }
+    specs = _grid_specs(args)
+    runs = []  # per repetition: (results, spans, phase totals per trace)
+    for _ in range(args.repeat):
+        with capture() as recorder:
+            results = run_many(specs, workers=args.workers)
+        if recorder.dropped:
+            print(
+                f"trace: {recorder.dropped} spans dropped (buffer full)",
+                file=sys.stderr,
             )
-    if args.trace:
-        write_chrome_trace(args.trace, best_spans)
-    if args.json:
-        text = json.dumps(rows, indent=2)
-    else:
-        text = format_table(
-            rows, title=f"bench: {len(rows)} flows (best of {args.repeat})"
+        spans = recorder.export_spans()
+        groups: Dict[str, List[Dict[str, Any]]] = {}
+        for span in spans:
+            if span["trace"]:
+                groups.setdefault(span["trace"], []).append(span)
+        phases = {
+            trace: {row["phase"]: row["total_s"] for row in phase_summary(group)}
+            for trace, group in groups.items()
+        }
+        runs.append((results, spans, phases))
+
+    # each flow keeps its fastest repetition by its root ``flow`` span
+    traces = [result.provenance["obs"]["trace_id"] for result in runs[0][0]]
+    best = {
+        trace: min(range(len(runs)), key=lambda r: runs[r][2][trace]["flow"])
+        for trace in traces
+    }
+    rows: List[Dict[str, Any]] = []
+    for index, (spec, trace) in enumerate(zip(specs, traces)):
+        results, _, phases = runs[best[trace]]
+        result, totals = results[index], phases[trace]
+        diagnostics = result.diagnostics
+        scheduler = diagnostics.get("scheduler") or {}
+        thermal = diagnostics.get("thermal_query") or {}
+        rows.append(
+            {
+                "benchmark": spec.graph.name,
+                "policy": spec.policy.name,
+                "elapsed_ms": round(1e3 * totals["flow"], 3),
+                "build_ms": round(1e3 * totals["flow.library"], 3),
+                "run_ms": round(1e3 * totals["flow.run"], 3),
+                "candidates": scheduler.get("candidates_evaluated", 0),
+                "hotspot_queries": diagnostics.get("hotspot_queries", 0),
+                "solver_solves": thermal.get("solver_solves", 0),
+                "fast_queries": scheduler.get("thermal_fast_queries", 0),
+                "exact_requeries": scheduler.get("thermal_exact_requeries", 0),
+                "fast_hit_rate": result.provenance["obs"].get(
+                    "scheduler_fast_hit_rate", 0.0
+                ),
+            }
         )
-    _emit(text, args.out)
-    return 0
-
-
-def _trace_specs(args: argparse.Namespace) -> List[FlowSpec]:
-    return [
-        platform_spec(bench, policy=policy)
-        for bench in args.benchmarks
-        for policy in args.policies
+    kept = set(best.values())
+    written = [
+        span
+        for r, (_, spans, _) in enumerate(runs)
+        for span in spans
+        if (best.get(span["trace"]) == r if span["trace"] else r in kept)
     ]
-
-
-def _cmd_trace_record(args: argparse.Namespace) -> int:
-    """Run a benchmark x policy sweep under a recorder; write the trace."""
-    from .obs import capture
-    from .obs.export import write_chrome_trace, write_jsonl
-
-    specs = _trace_specs(args)
-    with capture() as recorder:
-        run_many(specs, workers=args.workers)
-    spans = recorder.export_spans()
     if args.format == "jsonl":
-        write_jsonl(args.out, spans)
+        write_jsonl(args.out, written)
     else:
-        write_chrome_trace(args.out, spans)
-    print(
-        f"trace: {len(spans)} spans from {len(specs)} flows -> {args.out} "
-        f"({args.format})"
-    )
-    if recorder.dropped:
-        print(f"trace: {recorder.dropped} spans dropped (buffer full)")
+        write_chrome_trace(args.out, written)
+    if args.json:
+        print(json.dumps(rows, indent=2))
+    else:
+        print(
+            format_table(
+                rows,
+                title=f"trace record: {len(rows)} {args.flow} flows "
+                f"(best of {args.repeat})",
+            )
+        )
+        print(f"trace: {len(written)} spans -> {args.out} ({args.format})")
     return 0
 
 
@@ -940,6 +937,29 @@ def _cmd_cache_prune(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _add_grid_args(parser: argparse.ArgumentParser, benchmarks: List[str]) -> None:
+    """``--benchmarks``/``--policies``/``--flow``: the :func:`_grid_specs` axes."""
+    parser.add_argument(
+        "--benchmarks", nargs="+", default=benchmarks,
+        help=f"benchmark names (default: {' '.join(benchmarks)})",
+    )
+    parser.add_argument(
+        "--policies", nargs="+", default=["heuristic3", "thermal"],
+        help="DC policy names (default: heuristic3 thermal)",
+    )
+    parser.add_argument(
+        "--flow", choices=("platform", "cosynthesis"), default="platform",
+        help="flow kind (default: platform)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argparse parser (exposed for docs and tests)."""
     parser = argparse.ArgumentParser(
@@ -1003,18 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a benchmark x policy cross product (parallel, cached)",
         description="Cross-product sweep through run_many.",
     )
-    sweep_p.add_argument(
-        "--benchmarks", nargs="+", default=["Bm1", "Bm2", "Bm3", "Bm4"],
-        help="benchmark names (default: the paper suite)",
-    )
-    sweep_p.add_argument(
-        "--policies", nargs="+", default=["heuristic3", "thermal"],
-        help="DC policy names (default: heuristic3 thermal)",
-    )
-    sweep_p.add_argument(
-        "--flow", choices=("platform", "cosynthesis"), default="platform",
-        help="flow kind (default: platform)",
-    )
+    _add_grid_args(sweep_p, ["Bm1", "Bm2", "Bm3", "Bm4"])
     sweep_p.add_argument("--workers", type=int, default=None, help="process count")
     sweep_p.add_argument("--cache-dir", default=None, help="result cache directory")
     sweep_p.add_argument(
@@ -1167,68 +1176,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     res_fsck.set_defaults(func=_cmd_results_fsck)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="profile flows: phase timings, solve counts, fast-path rates",
-        description=(
-            "Run benchmark x policy flows and report, from FlowResult "
-            "provenance: per-phase wall time, HotSpot query counts, "
-            "steady-state solve counts, and thermal-query fast-path hit "
-            "rates.  See docs/PERFORMANCE.md."
-        ),
-    )
-    bench_p.add_argument(
-        "--benchmarks", nargs="+", default=["Bm1"],
-        help="benchmark names (default: Bm1)",
-    )
-    bench_p.add_argument(
-        "--policies", nargs="+", default=["heuristic3", "thermal"],
-        help="DC policy names (default: heuristic3 thermal)",
-    )
-    bench_p.add_argument(
-        "--repeat", type=int, default=1,
-        help="repetitions per flow; elapsed_s reports the best (default: 1)",
-    )
-    bench_p.add_argument(
-        "-o", "--out", default=None, metavar="FILE",
-        help="write to FILE instead of stdout",
-    )
-    bench_p.add_argument("--json", action="store_true", help="emit JSON rows")
-    bench_p.add_argument(
-        "--trace", default=None, metavar="FILE",
-        help="also write the best repetitions' spans as a Chrome trace",
-    )
-    bench_p.set_defaults(func=_cmd_bench)
-
     trace_p = sub.add_parser(
         "trace",
         help="record, summarize, and export repro.obs span traces",
         description=(
-            "The repro.obs tracing front end: 'record' runs a benchmark "
-            "x policy sweep under a span recorder and writes a "
-            "Perfetto-loadable Chrome trace (or a JSONL span log), "
-            "'summarize' aggregates a recorded trace into a per-phase "
-            "table, 'export' converts between the two formats.  See "
-            "docs/OBSERVABILITY.md."
+            "The repro.obs profiling front end: 'record' runs a "
+            "benchmark x policy grid of platform or co-synthesis flows "
+            "under a span recorder, prints per-flow phase times and "
+            "thermal-query counters, and writes a Perfetto-loadable "
+            "Chrome trace (or a JSONL span log); 'summarize' aggregates "
+            "a recorded trace into a per-phase table; 'export' converts "
+            "between the two formats.  See docs/OBSERVABILITY.md and "
+            "docs/PERFORMANCE.md."
         ),
     )
     trace_p.set_defaults(func=lambda _args: (trace_p.print_help(), 0)[1])
     trace_sub = trace_p.add_subparsers(dest="trace_command", metavar="action")
 
     trace_record = trace_sub.add_parser(
-        "record", help="run flows under a recorder and write the trace"
+        "record",
+        help="profile a flow grid: per-flow phase table + trace file",
     )
-    trace_record.add_argument(
-        "--benchmarks", nargs="+", default=["Bm1"],
-        help="benchmark names (default: Bm1)",
-    )
-    trace_record.add_argument(
-        "--policies", nargs="+", default=["heuristic3", "thermal"],
-        help="DC policy names (default: heuristic3 thermal)",
-    )
+    _add_grid_args(trace_record, ["Bm1"])
     trace_record.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="evaluate on a process pool; worker spans merge into the trace",
+    )
+    trace_record.add_argument(
+        "--repeat", type=_positive_int, default=1, metavar="N",
+        help="run the grid N times; each flow reports its fastest "
+        "repetition (default: 1)",
     )
     trace_record.add_argument(
         "-o", "--out", default="trace.json", metavar="FILE",
@@ -1237,6 +1214,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_record.add_argument(
         "--format", choices=("chrome", "jsonl"), default="chrome",
         help="output format (default: chrome)",
+    )
+    trace_record.add_argument(
+        "--json", action="store_true", help="emit the per-flow rows as JSON"
     )
     trace_record.set_defaults(func=_cmd_trace_record)
 

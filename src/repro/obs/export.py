@@ -15,7 +15,7 @@ Three interchange formats leave the recorder:
   (re-exported here for symmetry).
 
 :func:`phase_summary` is the shared aggregation behind ``repro trace
-summarize`` and the span-based ``repro bench``.
+summarize`` and the per-flow phase columns of ``repro trace record``.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def read_spans(path: Union[str, Path]) -> List[Dict[str, Any]]:
 
 
 def phase_totals(spans: Sequence[Mapping[str, Any]]) -> Dict[str, float]:
-    """Total seconds per span name (``repro bench``'s phase source)."""
+    """Total seconds per span name (one number per phase, no counts)."""
     totals: Dict[str, float] = {}
     for span in spans:
         duration = float(span["end"]) - float(span["start"])

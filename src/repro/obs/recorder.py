@@ -344,9 +344,10 @@ def disable() -> None:
 def capture(max_spans: int = DEFAULT_MAX_SPANS) -> Iterator[Recorder]:
     """A scoped recorder: enabled inside the block, restored after.
 
-    The CLI's ``repro trace record``, the pool workers' shipped
-    buffers, and the obs tests all record through this — whatever
-    recorder was active before is reinstated on exit.
+    The CLI's profiling front end (``repro trace record``, one capture
+    per repetition), the pool workers' shipped buffers, and the obs
+    tests all record through this — whatever recorder was active
+    before is reinstated on exit.
     """
     recorder = Recorder(max_spans=max_spans)
     previous = set_recorder(recorder)

@@ -490,3 +490,118 @@ class TestRecordSchemaV2:
 
     def test_spec_round_trip_unaffected(self):
         assert FlowSpec.from_json(THERMAL_SPEC.to_json()) == THERMAL_SPEC
+
+
+# ----------------------------------------------------------------------
+# the CLI profiling front end: repro trace record
+# ----------------------------------------------------------------------
+COUNTER_COLUMNS = (
+    "candidates", "hotspot_queries", "solver_solves", "fast_queries",
+    "exact_requeries", "fast_hit_rate",
+)
+
+
+class TestTraceRecordCli:
+    @staticmethod
+    def record(capsys, *argv):
+        from repro.cli import main
+
+        assert main(["trace", "record", "--json", *argv]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    @staticmethod
+    def counters(rows):
+        return [
+            {key: row[key] for key in ("benchmark", "policy") + COUNTER_COLUMNS}
+            for row in rows
+        ]
+
+    def test_one_row_per_flow_with_diagnostics_counters(self, capsys, tmp_path):
+        rows = self.record(
+            capsys, "--benchmarks", "Bm1", "Bm2",
+            "--policies", "heuristic3", "thermal", "-o", str(tmp_path / "t.json"),
+        )
+        assert [(r["benchmark"], r["policy"]) for r in rows] == [
+            ("Bm1", "heuristic3"), ("Bm1", "thermal"),
+            ("Bm2", "heuristic3"), ("Bm2", "thermal"),
+        ]
+        for row in rows:
+            diagnostics = Flow().run(
+                platform_spec(row["benchmark"], policy=row["policy"])
+            ).diagnostics
+            scheduler = diagnostics["scheduler"]
+            assert row["candidates"] == scheduler["candidates_evaluated"]
+            assert row["hotspot_queries"] == diagnostics["hotspot_queries"]
+            assert row["solver_solves"] == (
+                diagnostics["thermal_query"]["solver_solves"]
+            )
+            assert row["fast_queries"] == scheduler["thermal_fast_queries"]
+            assert row["exact_requeries"] == scheduler["thermal_exact_requeries"]
+            assert row["elapsed_ms"] >= row["run_ms"] > 0.0
+
+    def test_pool_rows_match_serial_and_trace_has_worker_lanes(
+        self, capsys, tmp_path
+    ):
+        grid = ("--benchmarks", "Bm1", "Bm2", "--policies", "heuristic3", "thermal")
+        serial = self.record(capsys, *grid, "-o", str(tmp_path / "serial.json"))
+        path = tmp_path / "pool.json"
+        pooled = self.record(capsys, *grid, "--workers", "2", "-o", str(path))
+        assert self.counters(pooled) == self.counters(serial)
+        assert any(s["proc"].startswith("pool:") for s in read_spans(path))
+
+    def test_jsonl_trace_summarizes_to_one_flow_span_per_flow(
+        self, capsys, tmp_path
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "t.jsonl"
+        rows = self.record(
+            capsys, "--benchmarks", "Bm1", "Bm2", "--format", "jsonl",
+            "-o", str(path),
+        )
+        assert main(["trace", "summarize", str(path), "--json"]) == 0
+        phases = {
+            row["phase"]: row for row in json.loads(capsys.readouterr().out)
+        }
+        assert phases["flow"]["count"] == len(rows) == 4
+
+    def test_repeat_writes_only_each_flows_kept_repetition(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "t.jsonl"
+        rows = self.record(
+            capsys, "--repeat", "2", "--format", "jsonl", "-o", str(path)
+        )
+        flows = [s for s in read_spans(path) if s["name"] == "flow"]
+        assert len(flows) == len(rows) == 2
+        for row, flow in zip(rows, flows):
+            assert row["elapsed_ms"] == round(
+                1e3 * round(flow["end"] - flow["start"], 6), 3
+            )
+
+    def test_cosynthesis_grid_is_profiled(self, capsys, tmp_path):
+        path = tmp_path / "t.json"
+        rows = self.record(
+            capsys, "--flow", "cosynthesis", "--benchmarks", "Bm1",
+            "--policies", "thermal", "-o", str(path),
+        )
+        assert [(r["benchmark"], r["policy"]) for r in rows] == [
+            ("Bm1", "thermal")
+        ]
+        assert "flow.search" in {s["name"] for s in read_spans(path)}
+
+    def test_repeat_below_one_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "record", "--repeat", "0"])
+        assert exc.value.code == 2
+        assert "argument --repeat: must be at least 1" in capsys.readouterr().err
+
+    def test_bench_is_not_a_subcommand(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
