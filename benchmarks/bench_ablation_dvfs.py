@@ -12,9 +12,9 @@ import pytest
 
 from repro.analysis.metrics import evaluate_schedule
 from repro.analysis.report import format_table
-from repro.experiments.workloads import WORKLOAD_NAMES
 from repro.extensions.dvfs import reclaim_slack
 from repro.flow import platform_spec, run_flow
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 
 from conftest import print_report
 
@@ -24,7 +24,7 @@ POLICIES = ["baseline", "heuristic3", "thermal"]
 @pytest.fixture(scope="module")
 def dvfs_rows():
     rows = []
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         for policy in POLICIES:
             result = run_flow(platform_spec(name, policy=policy))
             before = result.evaluation
@@ -72,7 +72,7 @@ def test_dvfs_saves_energy_where_slack_exists(dvfs_rows):
 def test_dvfs_narrows_policy_gap_but_thermal_still_wins_or_ties(dvfs_rows):
     """DVFS helps the baseline more (more slack), but thermal+DVFS stays
     at least competitive on every benchmark."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in dvfs_rows if r["benchmark"] == name}
         assert (
             rows["thermal"]["avg_temp_dvfs"]

@@ -14,8 +14,8 @@ import pytest
 
 from repro.analysis.reliability import reliability_report
 from repro.analysis.report import format_table
-from repro.experiments.workloads import WORKLOAD_NAMES
 from repro.flow import platform_spec, run_flow
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 from repro.thermal.hotspot import HotSpotModel
 from repro.thermal.leakage import LeakageModel, solve_with_leakage
 
@@ -27,7 +27,7 @@ LEAKAGE = LeakageModel(leakage_fraction=0.15, beta=0.015, t_ref_c=65.0)
 @pytest.fixture(scope="module")
 def leakage_rows():
     rows = []
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         for policy in ("heuristic3", "thermal"):
             result = run_flow(platform_spec(name, policy=policy))
             model = HotSpotModel(result.floorplan)
@@ -64,7 +64,7 @@ def test_leakage_raises_peaks(leakage_rows):
 
 def test_thermal_policy_leaks_less(leakage_rows):
     """Cooler schedules leak less — the feedback amplifies the gain."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         assert rows["thermal"]["leakage_W"] <= rows["heuristic3"]["leakage_W"] + 1e-9
 
@@ -72,7 +72,7 @@ def test_thermal_policy_leaks_less(leakage_rows):
 def test_leakage_amplifies_thermal_gain(leakage_rows):
     """Suite-wide, the peak-temperature gap grows under leakage feedback."""
     gap_before = gap_after = 0.0
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         gap_before += rows["heuristic3"]["peak_no_leak"] - rows["thermal"]["peak_no_leak"]
         gap_after += rows["heuristic3"]["peak_with_leak"] - rows["thermal"]["peak_with_leak"]
@@ -81,7 +81,7 @@ def test_leakage_amplifies_thermal_gain(leakage_rows):
 
 def test_thermal_policy_lives_longer(leakage_rows):
     """The paper's reliability claim, quantified: higher MTTF factor."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["policy"]: r for r in leakage_rows if r["benchmark"] == name}
         assert rows["thermal"]["mttf_factor"] >= rows["heuristic3"]["mttf_factor"]
 

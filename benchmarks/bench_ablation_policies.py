@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.metrics import evaluate_schedule
 from repro.analysis.report import format_table
 from repro.core.thermal_loop import thermal_scheduler
-from repro.analysis.metrics import evaluate_schedule
-from repro.experiments.workloads import WORKLOAD_NAMES, workload
 from repro.extensions.policies import EXTENDED_POLICY_NAMES, extended_policy_by_name
 from repro.floorplan.platform import platform_floorplan
+from repro.flow import GraphSourceSpec, LibrarySpec
 from repro.library.presets import default_platform
+from repro.scenarios.workloads import build_workload
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 
 from conftest import print_report
 
@@ -27,8 +29,10 @@ def variant_rows():
     rows = []
     platform = default_platform()
     plan = platform_floorplan(platform)
-    for name in WORKLOAD_NAMES:
-        graph, library = workload(name)
+    for name in BENCHMARK_NAMES:
+        graph, library = build_workload(
+            GraphSourceSpec(kind="benchmark", name=name), LibrarySpec()
+        )
         scheduler = thermal_scheduler(graph, platform, library, floorplan=plan)
         for variant in EXTENDED_POLICY_NAMES:
             schedule = scheduler.run(extended_policy_by_name(variant))
@@ -70,7 +74,7 @@ def test_peak_variant_tightens_spread_on_average(variant_rows):
 
 def test_variants_comparable_on_avg_metric(variant_rows):
     """No variant should catastrophically regress the average metric."""
-    for name in WORKLOAD_NAMES:
+    for name in BENCHMARK_NAMES:
         rows = {r["variant"]: r for r in variant_rows if r["benchmark"] == name}
         reference = rows["thermal"]["avg_temp"]
         for variant in ("thermal-peak", "thermal-hybrid"):
@@ -78,7 +82,9 @@ def test_variants_comparable_on_avg_metric(variant_rows):
 
 
 def test_benchmark_peak_variant(benchmark, variant_rows):
-    graph, library = workload("Bm1")
+    graph, library = build_workload(
+        GraphSourceSpec(kind="benchmark", name="Bm1"), LibrarySpec()
+    )
     platform = default_platform()
     scheduler = thermal_scheduler(graph, platform, library)
     policy = extended_policy_by_name("thermal-peak")

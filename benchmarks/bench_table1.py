@@ -15,18 +15,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.compare import ordering_agreement
-from repro.experiments.paper_data import TABLE1_COSYNTHESIS
-from repro.experiments.table1 import format_table1, run_table1
+from repro.flow import run_many
+from repro.results import paper_specs
 
-from conftest import print_report
+from conftest import paper_report, print_report
 
 
 @pytest.fixture(scope="module")
 def table1_rows():
-    rows = run_table1()
-    print_report("Table 1 (measured vs paper)", format_table1(rows))
-    return rows
+    report = paper_report("table1", paper_specs("table1"))
+    print_report("Table 1 (measured vs paper)", report.render())
+    return report.rows
 
 
 def test_table1_platform_rows_meet_deadlines(table1_rows):
@@ -78,4 +77,5 @@ def test_benchmark_table1(benchmark, table1_rows):
     Depending on the ``table1_rows`` fixture makes ``--benchmark-only``
     runs still produce the full measured-vs-paper report.
     """
-    benchmark(run_table1, benchmarks=["Bm1"], include_cosynthesis=False)
+    specs = [s for s in paper_specs("table1", ["Bm1"]) if s.flow == "platform"]
+    benchmark(run_many, specs)

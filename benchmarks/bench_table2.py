@@ -13,20 +13,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table2 import (
-    format_table2,
-    run_table2,
-    table2_reductions,
-)
+from repro.flow import run_many
+from repro.results import paper_specs, temperature_reductions
 
-from conftest import print_report
+from conftest import paper_report, print_report
 
 
 @pytest.fixture(scope="module")
 def table2_rows():
-    rows = run_table2()
-    print_report("Table 2 (measured vs paper)", format_table2(rows))
-    return rows
+    report = paper_report("table2", paper_specs("table2"))
+    print_report("Table 2 (measured vs paper)", report.render())
+    return report.rows
 
 
 def test_table2_all_designs_meet_deadlines(table2_rows):
@@ -34,7 +31,7 @@ def test_table2_all_designs_meet_deadlines(table2_rows):
 
 
 def test_table2_thermal_reduces_both_metrics_on_average(table2_rows):
-    reductions = table2_reductions(table2_rows)
+    reductions = temperature_reductions(table2_rows)
     assert reductions["max_temp_reduction"] > 0.0
     assert reductions["avg_temp_reduction"] > 0.0
 
@@ -53,10 +50,10 @@ def test_table2_thermal_cooler_per_benchmark(table2_rows):
 
 def test_table2_reduction_magnitude_in_paper_band(table2_rows):
     """Reductions land in the paper's few-to-ten °C band, not micro-°C."""
-    reductions = table2_reductions(table2_rows)
+    reductions = temperature_reductions(table2_rows)
     assert 0.5 <= reductions["avg_temp_reduction"] <= 20.0
 
 
 def test_benchmark_table2(benchmark, table2_rows):
     """Time one Table-2 regeneration (Bm1, both flows)."""
-    benchmark(run_table2, benchmarks=["Bm1"])
+    benchmark(run_many, paper_specs("table2", ["Bm1"]))

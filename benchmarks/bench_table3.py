@@ -13,20 +13,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.table3 import (
-    format_table3,
-    run_table3,
-    table3_reductions,
-)
+from repro.flow import run_many
+from repro.results import paper_specs, temperature_reductions
 
-from conftest import print_report
+from conftest import paper_report, print_report
 
 
 @pytest.fixture(scope="module")
 def table3_rows():
-    rows = run_table3()
-    print_report("Table 3 (measured vs paper)", format_table3(rows))
-    return rows
+    report = paper_report("table3", paper_specs("table3"))
+    print_report("Table 3 (measured vs paper)", report.render())
+    return report.rows
 
 
 def test_table3_all_schedules_meet_deadlines(table3_rows):
@@ -34,7 +31,7 @@ def test_table3_all_schedules_meet_deadlines(table3_rows):
 
 
 def test_table3_thermal_reduces_both_metrics_on_average(table3_rows):
-    reductions = table3_reductions(table3_rows)
+    reductions = temperature_reductions(table3_rows)
     assert reductions["max_temp_reduction"] > 0.0
     assert reductions["avg_temp_reduction"] > 0.0
 
@@ -54,7 +51,7 @@ def test_table3_thermal_cooler_per_benchmark(table3_rows):
 
 
 def test_table3_reduction_magnitude_in_paper_band(table3_rows):
-    reductions = table3_reductions(table3_rows)
+    reductions = temperature_reductions(table3_rows)
     assert 0.5 <= reductions["max_temp_reduction"] <= 20.0
     assert 0.5 <= reductions["avg_temp_reduction"] <= 20.0
 
@@ -70,4 +67,4 @@ def test_table3_thermal_balances_load(table3_rows):
 
 def test_benchmark_table3(benchmark, table3_rows):
     """Time one Table-3 regeneration (Bm1, both policies)."""
-    benchmark(run_table3, benchmarks=["Bm1"])
+    benchmark(run_many, paper_specs("table3", ["Bm1"]))

@@ -11,6 +11,15 @@ from __future__ import annotations
 import pytest
 
 
+def paper_report(name: str, specs):
+    """Run *specs* and report paper analyzer *name* over their records."""
+    from repro.flow import run_many
+    from repro.results import RunSet, analyze
+
+    records = tuple(result.as_record() for result in run_many(specs))
+    return analyze(name, RunSet(records))
+
+
 def print_report(title: str, text: str) -> None:
     """Emit one experiment report to stdout (shown with `pytest -s`)."""
     bar = "=" * 78

@@ -44,8 +44,9 @@ profiling front end; the serve daemon's ``/metrics``; or
 ``repro.obs.capture()``); see docs/OBSERVABILITY.md.
 
 The same flows are scriptable from the shell (``python -m repro --help``:
-``run`` / ``sweep`` / ``scenarios`` / ``results`` / ``experiments`` /
-``list``).  Each design flow has one implementation, reached through
+``run`` / ``sweep`` / ``scenarios`` / ``results`` / ``list``); the
+paper's tables are ``results report table1``..``table3`` over a stored
+``paper-tables`` run.  Each design flow has one implementation, reached through
 :func:`run_flow`; the lower layers it composes (``ListScheduler``,
 ``CoSynthesisFramework``, ``reclaim_slack``, ``schedule_conditional``...)
 stay public for ad-hoc use, and docs/FLOW_API.md maps the removed
@@ -217,7 +218,7 @@ from .results import (
     stream_records,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "__version__",

@@ -4,9 +4,9 @@ Usage::
 
     python -m repro run --benchmark Bm1 --policy thermal
     python -m repro sweep --workers 4 --cache-dir .flowcache
-    python -m repro experiments table1 table3
+    python -m repro scenarios run paper-tables --store runs/
+    python -m repro results report table3 --store runs/
     python -m repro list policies
-    python -m repro table3            # legacy shorthand, still works
 
 See ``python -m repro --help`` and :mod:`repro.cli`.
 """

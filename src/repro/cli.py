@@ -14,12 +14,12 @@ Subcommands over the unified flow + scenario + results API::
     python -m repro results list --store runs/                # the run ledger
     python -m repro results export --store runs/ --format csv
     python -m repro results report summary --store runs/      # analyzers
+    python -m repro results report table3 --store runs/       # paper tables
     python -m repro workloads list                            # graph sources
     python -m repro trace record --repeat 3 -o trace.json     # profiling
     python -m repro trace record --flow cosynthesis --json    # co-synthesis
     python -m repro trace summarize trace.json                # phase table
     python -m repro lint src benchmarks examples              # invariants
-    python -m repro experiments table3                        # paper artefacts
     python -m repro list policies                             # registries
     python -m repro serve --port 8177 --store runs/           # the daemon
     python -m repro submit spec.json --url http://host:8177   # one request
@@ -35,10 +35,11 @@ DIR`` on ``run``/``sweep``/``scenarios run`` appends every result to the
 on-disk result store as it finishes; the ``results`` subcommands read it
 back (default store: ``$REPRO_RESULTS_STORE`` or ``.repro-results``).
 
-Exit codes: 0 on success, 2 on unknown names (experiment ids, registry
+The paper's Tables 1-3 and Figure 1 are the ``table1``/``table2``/
+``table3``/``figure1`` analyzers over a stored ``paper-tables`` run.
+
+Exit codes: 0 on success, 2 on unknown names (subcommands, registry
 keys, scenario names, analyzers, record ids), 1 on execution failure.
-Bare experiment ids keep working for backward compatibility
-(``python -m repro table3`` == ``python -m repro experiments table3``).
 """
 
 from __future__ import annotations
@@ -234,15 +235,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_experiments(args: argparse.Namespace) -> int:
-    from .experiments.runner import main as runner_main
-
-    argv = list(args.ids)
-    if args.list:
-        argv.append("--list")
-    return runner_main(argv)
-
-
 def _summarize_spec(spec: FlowSpec) -> Dict[str, Any]:
     """One compact table row describing a spec (for ``scenarios show``)."""
     from .flow import spec_hash
@@ -286,7 +278,7 @@ def _scenario_from_args(args: argparse.Namespace):
     """The named scenario with ``--set`` grid overrides, or ``None``.
 
     Unknown scenario names print to stderr and map to exit code 2 (like
-    unknown experiment ids); grid errors propagate as ``ReproError``.
+    unknown analyzers); grid errors propagate as ``ReproError``.
     """
     from .scenarios import scenario_by_name
 
@@ -587,6 +579,10 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         for span in spans
         if (best.get(span["trace"]) == r if span["trace"] else r in kept)
     ]
+    # flows in grid order (as the rows list them), whichever repetition
+    # each kept; untraced spans last
+    order = {trace: index for index, trace in enumerate(traces)}
+    written.sort(key=lambda span: order.get(span["trace"], len(order)))
     if args.format == "jsonl":
         write_jsonl(args.out, written)
     else:
@@ -706,7 +702,6 @@ def _cmd_workloads_list(args: argparse.Namespace) -> int:
 def _cmd_list(args: argparse.Namespace) -> int:
     from .devtools.lint import rule_names
     from .dse.strategies import strategy_names
-    from .experiments.runner import EXPERIMENTS
     from .results import analyzer_names
     from .scenarios import catalogue_names, scenario_names
     from .taskgraph.benchmarks import BENCHMARK_NAMES
@@ -724,7 +719,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
         "catalogues": catalogue_names(),
         "scenarios": scenario_names(),
         "analyzers": analyzer_names(),
-        "experiments": tuple(sorted(EXPERIMENTS)),
         "lint-rules": rule_names(),
     }
     wanted = args.what
@@ -1306,15 +1300,6 @@ def build_parser() -> argparse.ArgumentParser:
     wl_list.add_argument("--json", action="store_true", help="emit JSON")
     wl_list.set_defaults(func=_cmd_workloads_list)
 
-    exp_p = sub.add_parser(
-        "experiments",
-        help="regenerate the paper's artefacts (tables 1-3, figure 1)",
-        description="Run named experiments; no ids runs all of them.",
-    )
-    exp_p.add_argument("ids", nargs="*", metavar="experiment", help="experiment ids")
-    exp_p.add_argument("--list", action="store_true", help="print available ids")
-    exp_p.set_defaults(func=_cmd_experiments)
-
     serve_p = sub.add_parser(
         "serve",
         help="run the scheduling daemon (warm engine cache, worker pool)",
@@ -1533,7 +1518,7 @@ def build_parser() -> argparse.ArgumentParser:
     list_p.add_argument(
         "what", nargs="?", default="all",
         help="all | flows | policies | floorplanners | thermal-solvers | "
-        "benchmarks | experiments",
+        "benchmarks | analyzers | ...",
     )
     list_p.set_defaults(func=_cmd_list)
     return parser
@@ -1541,17 +1526,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args_list = list(argv) if argv is not None else sys.argv[1:]
-
-    # Backward compatibility: `python -m repro table3` ran experiments in
-    # the pre-flow CLI; keep bare experiment ids working.
-    from .experiments.runner import EXPERIMENTS
-
-    if args_list and args_list[0] in EXPERIMENTS:
-        args_list = ["experiments"] + args_list
-
     parser = build_parser()
-    args = parser.parse_args(args_list)
+    args = parser.parse_args(argv)
     if getattr(args, "func", None) is None:
         parser.print_help()
         return 0

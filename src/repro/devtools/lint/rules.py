@@ -914,7 +914,6 @@ class RegistryConsistencyRule(LintRule):
         import io
 
         from ... import cli
-        from ...experiments.runner import EXPERIMENTS
         from ...flow import registry as flow_registry
         from ...library.catalogues import catalogue_by_name, catalogue_names
         from ...results import analyzer_names, analyzers as results_analyzers
@@ -950,8 +949,6 @@ class RegistryConsistencyRule(LintRule):
              scenario_by_name, "src/repro/scenarios/suites.py"),
             ("analyzer", analyzer_names(),
              results_analyzers.ANALYZERS.get, "src/repro/results/analyzers.py"),
-            ("experiment", tuple(sorted(EXPERIMENTS)),
-             EXPERIMENTS.__getitem__, "src/repro/experiments/runner.py"),
             ("lint rule", lint_engine.rule_names(),
              lint_engine.LINT_RULES.get, "src/repro/devtools/lint/rules.py"),
             ("dse strategy", dse_strategies.strategy_names(),

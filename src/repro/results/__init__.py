@@ -12,7 +12,9 @@ Every result leaves the system through this package:
   JSON / CSV export;
 * the analyzer registry — named ``(RunSet, **options) -> AnalysisReport``
   callables (``summary``, ``compare``, ``pareto``, ``reliability``,
-  ``deadline-misses`` built in) behind the CLI's ``results report``;
+  ``deadline-misses`` built in, plus the paper's ``table1``/``table2``/
+  ``table3``/``figure1`` from :mod:`repro.results.paper`) behind the
+  CLI's ``results report``;
 * :func:`stream_records` / :func:`run_to_store` — bounded-memory
   streaming execution of large grids straight into a store;
 * :func:`fsck_store` / :class:`FsckReport` — verify/repair/compact a
@@ -41,6 +43,7 @@ from .analyzers import (
     analyzer_names,
     register_analyzer,
 )
+from .paper import paper_specs, temperature_reductions
 from .fsck import FsckReport, fsck_store
 from .stream import run_to_store, stream_records
 
@@ -60,6 +63,8 @@ __all__ = [
     "analyzer_by_name",
     "analyzer_names",
     "register_analyzer",
+    "paper_specs",
+    "temperature_reductions",
     "stream_records",
     "run_to_store",
     "FsckReport",

@@ -2,19 +2,23 @@
 
 An *analyzer* is a callable ``(runset, **options) -> AnalysisReport``
 registered by name in the shared :class:`~repro.registry.Registry`.
-Five ship built in:
+Five general analyzers ship built in here:
 
 * ``summary`` — per (flow, policy) aggregates: run counts, mean/max
   temperatures, deadline-miss counts, cache-hit counts;
 * ``compare`` — the paper's shape statistics
   (:mod:`repro.analysis.compare`) between a baseline policy and every
-  other policy, aligned per benchmark;
+  other policy, aligned per (flow, benchmark);
 * ``pareto`` — the non-dominated records under configurable minimised
   objectives (default: total power and max temperature);
 * ``reliability`` — per-run electromigration MTTF factors from the
   stored per-PE temperatures (:mod:`repro.analysis.reliability`);
 * ``deadline-misses`` — every record that missed its deadline, with the
   magnitude of the miss.
+
+The paper's own artefacts — ``table1``, ``table2``, ``table3`` and
+``figure1`` — are analyzers too, over a stored ``paper-tables`` run
+(:mod:`repro.results.paper`).
 
 Reports render uniformly to aligned text tables, JSON, or CSV through
 :meth:`AnalysisReport.render`, so the CLI's ``results report`` emits any
@@ -59,7 +63,8 @@ class AnalysisReport:
 
     ``rows`` are flat JSON-safe dicts; ``columns`` optionally pins the
     render order (default: keys of the first row); ``notes`` are extra
-    lines appended under the table (aggregate statistics, caveats).
+    lines rendered after a blank line under the table (aggregate
+    statistics, caveats).
     """
 
     name: str
@@ -82,8 +87,8 @@ class AnalysisReport:
             from ..analysis.report import format_table
 
             text = format_table(list(self.rows), self.columns, title=self.title)
-            for note in self.notes:
-                text += f"\n{note}"
+            if self.notes:
+                text += "\n\n" + "\n".join(self.notes)
             return text
         if fmt == "json":
             return json.dumps(
@@ -195,10 +200,12 @@ def compare(
 ) -> AnalysisReport:
     """Shape statistics of every policy against a baseline policy.
 
-    Records are aligned per benchmark (latest record per (policy,
-    benchmark) pair wins); *metric* names a ``metrics.*`` field and
-    *baseline* a policy name (default: the first policy in record
-    order).  Wraps :func:`repro.analysis.compare.average_delta`,
+    Records are aligned per (flow, benchmark), so a platform run is never
+    compared with a co-synthesis run (latest record per (policy, flow,
+    benchmark) wins); each policy gets one row per flow it shares with
+    the baseline.  *metric* names a ``metrics.*`` field and *baseline* a
+    policy name (default: the first policy in record order).  Wraps
+    :func:`repro.analysis.compare.average_delta`,
     :func:`~repro.analysis.compare.fraction_improved` and
     :func:`~repro.analysis.compare.spearman_rank_correlation`.
     """
@@ -210,34 +217,37 @@ def compare(
     )
 
     path = metric if "." in metric else f"metrics.{metric}"
-    by_policy: Dict[str, Dict[str, float]] = {}
+    by_group: Dict[Tuple[str, str], Dict[str, float]] = {}
     for record in runs:
         value = record.get(path)
         if value is None:
             continue
-        by_policy.setdefault(_policy(record), {})[_benchmark(record)] = value
-    if not by_policy:
+        group = (_policy(record), record.flow)
+        by_group.setdefault(group, {})[_benchmark(record)] = value
+    if not by_group:
         raise ResultError(
             f"no records carry metric {path!r}; nothing to compare"
         )
-    policies = list(by_policy)
+    policies = list(dict.fromkeys(policy for policy, _ in by_group))
     base = baseline if baseline is not None else policies[0]
-    if base not in by_policy:
+    if base not in policies:
         raise ResultError(
             f"baseline policy {base!r} has no records; "
             f"policies present: {policies}"
         )
     rows = []
-    for policy in policies:
+    for (policy, flow), values in by_group.items():
         if policy == base:
             continue
-        shared = sorted(set(by_policy[base]) & set(by_policy[policy]))
+        base_by_benchmark = by_group.get((base, flow), {})
+        shared = sorted(set(base_by_benchmark) & set(values))
         if not shared:
             continue
-        base_values = [by_policy[base][b] for b in shared]
-        policy_values = [by_policy[policy][b] for b in shared]
+        base_values = [base_by_benchmark[b] for b in shared]
+        policy_values = [values[b] for b in shared]
         row: Dict[str, Any] = {
             "policy": policy,
+            "flow": flow,
             "baseline": base,
             "benchmarks": len(shared),
             "avg_delta": round(average_delta(base_values, policy_values), 3),

@@ -2,7 +2,7 @@
 
 A :class:`RunRecord` is the *stable* output contract of the substrate:
 every way a result leaves the system (CLI ``--json``, the result store,
-CSV export, the experiments tables, the analyzers) goes through this one
+CSV export, the analyzers and the paper tables they report) goes through this one
 flattening instead of inventing its own.  Records are
 
 * **fully JSON-safe** — every value survives ``json.dumps`` without a

@@ -2,10 +2,11 @@
 
 Four suites ship built in:
 
-* ``paper-tables`` — the exact spec set behind the paper's Tables 1–3
-  (co-synthesis and platform rows).  Expanding and running it through
-  ``run_many`` reproduces the same per-benchmark evaluations as the
-  legacy ``repro.experiments`` drivers, byte for byte.
+* ``paper-tables`` — the one spec list behind the paper's Tables 1–3
+  and Figure 1 (co-synthesis and platform rows).  Run it into a result
+  store and the ``table1``/``table2``/``table3``/``figure1`` analyzers
+  (:mod:`repro.results.paper`) report every row from the stored
+  records.
 * ``policy-ablation`` — every registered DC policy across the benchmark
   suite on the fixed platform.
 * ``scaling-stress`` — generated ``layered`` workloads swept over task

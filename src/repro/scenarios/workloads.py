@@ -2,10 +2,10 @@
 
 This module is the single place a :class:`~repro.flow.GraphSourceSpec`
 turns into a concrete ``(graph, technology library)`` pair.  It backs
-:meth:`repro.flow.Flow.run`, :mod:`repro.experiments.workloads`, and the
-CLI alike, and memoises per process — one bounded, thread-safe LRU
-that the serve daemon shares too — so sweeps over policies never
-regenerate identical substrates.
+:meth:`repro.flow.Flow.run`, the benchmark harness, and the CLI alike,
+and memoises per process — one bounded, thread-safe LRU that the serve
+daemon shares too — so sweeps over policies never regenerate identical
+substrates.
 
 Source kinds:
 

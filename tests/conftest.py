@@ -128,3 +128,22 @@ def bm2():
 def bm2_library(bm2):
     """Technology library for Bm2."""
     return library_for_graph(bm2)
+
+
+@pytest.fixture(scope="session")
+def paper_bm1_store(tmp_path_factory):
+    """The Bm1 slice of the ``paper-tables`` suite (11 specs), run once
+    into a result store — what the paper analyzers report from."""
+    from repro.scenarios import run_scenario
+
+    path = tmp_path_factory.mktemp("paper-bm1") / "store"
+    run_scenario("paper-tables", overrides={"graph.name": "Bm1"}, store=path)
+    return path
+
+
+@pytest.fixture(scope="session")
+def paper_bm1_runs(paper_bm1_store):
+    """The stored Bm1 ``paper-tables`` records, as a RunSet."""
+    from repro.results import ResultStore
+
+    return ResultStore(paper_bm1_store).load()

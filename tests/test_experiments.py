@@ -1,158 +1,154 @@
-"""Tests for the experiment drivers (reduced configurations for speed).
+"""The paper's experiments: Tables 1–3 and Figure 1 as result analyzers.
 
-The full-budget runs live in benchmarks/; here each driver is exercised on
-a subset with a fast co-synthesis configuration, checking row structure and
-the paper's qualitative shape.
+Every artefact is reported from stored records of the ``paper-tables``
+suite.  Tables 1/2 and Figure 1 read the session's stored Bm1 slice;
+Table 3 runs on the (fast) platform flow, so its full four-benchmark
+shape is checked here too.
 """
 
 import pytest
 
-from repro.cosynth.framework import CoSynthesisConfig
-from repro.errors import ExperimentError
-from repro.experiments.figure1 import format_figure1, run_figure1
-from repro.experiments.runner import EXPERIMENTS, run_experiment
-from repro.experiments.table1 import TABLE1_POLICIES, format_table1, run_table1
-from repro.experiments.table2 import format_table2, run_table2, table2_reductions
-from repro.experiments.table3 import format_table3, run_table3, table3_reductions
-from repro.experiments.workloads import WORKLOAD_NAMES, all_workloads, workload
-from repro.floorplan.genetic import GeneticConfig
+from repro.errors import FlowError
+from repro.flow import GraphSourceSpec, LibrarySpec, platform_spec, run_many
+from repro.results import RunSet, analyze, analyzer_names, paper_specs
+from repro.results.paper import TABLE1_POLICIES, temperature_reductions
+from repro.scenarios.workloads import build_workload
+from repro.taskgraph.benchmarks import BENCHMARK_NAMES
 
-FAST = CoSynthesisConfig(
-    max_pes=3,
-    screening_keep=2,
-    refine_iterations=1,
-    genetic_config=GeneticConfig(population_size=8, generations=4),
-)
+
+def _workload(name):
+    return build_workload(GraphSourceSpec(kind="benchmark", name=name), LibrarySpec())
+
+
+@pytest.fixture(scope="module")
+def table3_full():
+    """Table 3 over all four benchmarks, from freshly run records."""
+    results = run_many(paper_specs("table3"))
+    return analyze("table3", RunSet(tuple(r.as_record() for r in results)))
 
 
 class TestWorkloads:
     def test_names_match_paper(self):
-        assert WORKLOAD_NAMES == ["Bm1", "Bm2", "Bm3", "Bm4"]
+        assert list(BENCHMARK_NAMES) == ["Bm1", "Bm2", "Bm3", "Bm4"]
 
     def test_workload_cached(self):
-        assert workload("Bm1")[0] is workload("Bm1")[0]
+        assert _workload("Bm1")[0] is _workload("Bm1")[0]
 
     def test_all_workloads_cover_suite(self):
-        loads = all_workloads()
-        assert [g.name for g, _ in loads] == WORKLOAD_NAMES
+        loads = [_workload(name) for name in BENCHMARK_NAMES]
+        assert [g.name for g, _ in loads] == list(BENCHMARK_NAMES)
 
     def test_library_covers_graph(self):
-        graph, library = workload("Bm3")
+        graph, library = _workload("Bm3")
         types = {t.task_type for t in graph}
         assert types <= set(library.task_types())
 
 
 class TestTable1:
-    def test_platform_rows_structure(self):
-        rows = run_table1(
-            benchmarks=["Bm1"], include_cosynthesis=False, config=FAST
-        )
-        assert len(rows) == len(TABLE1_POLICIES)
+    def test_platform_rows_structure(self, paper_bm1_runs):
+        rows = [
+            r for r in analyze("table1", paper_bm1_runs).rows
+            if r["architecture"] == "platform"
+        ]
+        assert [r["policy"] for r in rows] == list(TABLE1_POLICIES)
         for row in rows:
-            assert row["architecture"] == "platform"
             assert row["meets_deadline"]
             assert row["max_temp"] >= row["avg_temp"]
             assert "paper_max_temp" in row
 
-    def test_cosynthesis_rows_structure(self):
-        rows = run_table1(
-            benchmarks=["Bm1"],
-            policies=["baseline", "heuristic3"],
-            include_platform=False,
-            config=FAST,
-        )
-        assert len(rows) == 2
-        assert all(r["architecture"] == "co-synthesis" for r in rows)
+    def test_cosynthesis_rows_structure(self, paper_bm1_runs):
+        rows = analyze("table1", paper_bm1_runs).rows
+        cosynthesis = [r for r in rows if r["architecture"] == "co-synthesis"]
+        assert len(rows) == 2 * len(TABLE1_POLICIES)
+        assert [r["policy"] for r in cosynthesis] == list(TABLE1_POLICIES)
 
-    def test_format_contains_paper_columns(self):
-        rows = run_table1(
-            benchmarks=["Bm1"], include_cosynthesis=False, config=FAST
-        )
-        text = format_table1(rows)
+    def test_format_contains_paper_columns(self, paper_bm1_runs):
+        text = analyze("table1", paper_bm1_runs).render()
         assert "Table 1" in text
         assert "paper_max_temp" in text
 
 
 class TestTable2:
-    def test_rows_and_reductions(self):
-        rows = run_table2(benchmarks=["Bm1"], config=FAST)
+    def test_rows_and_reductions(self, paper_bm1_runs):
+        rows = analyze("table2", paper_bm1_runs).rows
         assert len(rows) == 2
         approaches = {r["approach"] for r in rows}
         assert approaches == {"power_aware", "thermal_aware"}
-        reductions = table2_reductions(rows)
+        reductions = temperature_reductions(rows)
         assert set(reductions) == {"max_temp_reduction", "avg_temp_reduction"}
 
-    def test_format_mentions_paper_targets(self):
-        rows = run_table2(benchmarks=["Bm1"], config=FAST)
-        text = format_table2(rows)
+    def test_format_mentions_paper_targets(self, paper_bm1_runs):
+        text = analyze("table2", paper_bm1_runs).render()
         assert "10.9" in text and "6.95" in text
 
 
 class TestTable3:
-    def test_thermal_shape_on_full_suite(self):
-        """Table 3 runs the (fast) platform flow, so the full suite is
-        affordable here — and the paper's shape must hold on it."""
-        rows = run_table3()
+    def test_thermal_shape_on_full_suite(self, table3_full):
+        """The paper's Table 3 shape must hold on the whole suite."""
+        rows = table3_full.rows
         assert len(rows) == 8
-        reductions = table3_reductions(rows)
+        reductions = temperature_reductions(rows)
         assert reductions["max_temp_reduction"] > 0.0
         assert reductions["avg_temp_reduction"] > 0.0
         for row in rows:
             assert row["meets_deadline"]
 
-    def test_thermal_cooler_per_benchmark(self):
-        rows = run_table3()
+    def test_thermal_cooler_per_benchmark(self, table3_full):
         by_benchmark = {}
-        for row in rows:
+        for row in table3_full.rows:
             by_benchmark.setdefault(row["benchmark"], {})[row["approach"]] = row
+        assert list(by_benchmark) == list(BENCHMARK_NAMES)
         for name, pair in by_benchmark.items():
             assert (
                 pair["thermal_aware"]["avg_temp"] <= pair["power_aware"]["avg_temp"]
             ), name
 
     def test_thermal_weight_override(self):
-        rows = run_table3(benchmarks=["Bm1"], thermal_weight=0.0)
-        thermal = [r for r in rows if r["approach"] == "thermal_aware"][0]
-        power = [r for r in rows if r["approach"] == "power_aware"][0]
+        power, thermal = run_many([
+            platform_spec("Bm1", policy="heuristic3"),
+            platform_spec("Bm1", policy="thermal", weight=0.0),
+        ])
         # with zero weight the thermal policy degenerates: no reduction
-        assert thermal["avg_temp"] >= power["avg_temp"] - 3.0
+        assert (
+            thermal.evaluation.avg_temperature
+            >= power.evaluation.avg_temperature - 3.0
+        )
 
-    def test_format_mentions_paper_targets(self):
-        rows = run_table3(benchmarks=["Bm1"])
-        text = format_table3(rows)
+    def test_format_mentions_paper_targets(self, paper_bm1_runs):
+        text = analyze("table3", paper_bm1_runs).render()
         assert "9.75" in text and "5.02" in text
 
 
 class TestFigure1:
-    def test_both_flows_traced(self):
-        traces = run_figure1("Bm1", config=FAST)
-        assert [t.flow for t in traces] == ["co-synthesis", "platform"]
-        for trace in traces:
-            assert trace.stages
-            assert trace.num_pes >= 1
-            assert trace.die_area_mm2 > 0.0
-            assert trace.meets_requirement
+    def test_both_flows_traced(self, paper_bm1_runs):
+        report = analyze("figure1", paper_bm1_runs)
+        assert [r["flow"] for r in report.rows] == ["co-synthesis", "platform"]
+        for row in report.rows:
+            assert row["pes"] >= 1
+            assert row["meets_requirement"]
+        assert "[co-synthesis] Bm1 stages:" in report.notes
+        assert "[platform] Bm1 stages:" in report.notes
 
-    def test_platform_flow_uses_four_pes(self):
-        traces = run_figure1("Bm1", config=FAST)
-        platform = [t for t in traces if t.flow == "platform"][0]
-        assert platform.num_pes == 4
+    def test_platform_flow_uses_four_pes(self, paper_bm1_runs):
+        rows = analyze("figure1", paper_bm1_runs).rows
+        platform = [r for r in rows if r["flow"] == "platform"][0]
+        assert platform["pes"] == 4
 
-    def test_format_lists_stages(self):
-        traces = run_figure1("Bm1", config=FAST)
-        text = format_figure1(traces)
+    def test_format_lists_stages(self, paper_bm1_runs):
+        text = analyze("figure1", paper_bm1_runs).render()
         assert "meets requirement" in text
         assert "HotSpot" in text
+        assert "screened 121 allocations" in text
 
 
 class TestRunner:
     def test_registry_covers_all_artefacts(self):
-        assert set(EXPERIMENTS) == {"table1", "table2", "table3", "figure1"}
+        assert {"table1", "table2", "table3", "figure1"} <= set(analyzer_names())
 
-    def test_unknown_experiment_rejected(self):
-        with pytest.raises(ExperimentError):
-            run_experiment("table9")
+    def test_unknown_experiment_rejected(self, paper_bm1_runs):
+        with pytest.raises(FlowError, match="unknown analyzer"):
+            analyze("table9", paper_bm1_runs)
 
-    def test_run_experiment_formats(self):
-        text = run_experiment("table3", benchmarks=["Bm1"])
+    def test_run_experiment_formats(self, paper_bm1_runs):
+        text = analyze("table3", paper_bm1_runs).render()
         assert "Table 3" in text

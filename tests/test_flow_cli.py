@@ -1,11 +1,10 @@
-"""The argparse CLI: subcommands, exit codes, legacy shorthand."""
+"""The argparse CLI: subcommands, exit codes, retired commands."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.runner import main as experiments_main
 from repro.flow import platform_spec
 
 
@@ -15,9 +14,10 @@ class TestListCommand:
         out = capsys.readouterr().out
         for section in (
             "flows:", "policies:", "floorplanners:", "thermal-solvers:",
-            "benchmarks:", "experiments:",
+            "benchmarks:", "analyzers:",
         ):
             assert section in out
+        assert "experiments:" not in out
 
     def test_list_single_section(self, capsys):
         assert main(["list", "policies"]) == 0
@@ -93,38 +93,34 @@ class TestSweepCommand:
         assert rows[0]["benchmark"] == "Bm1"
 
 
-class TestExperimentsCommand:
-    def test_list_prints_ids(self, capsys):
-        assert main(["experiments", "--list"]) == 0
-        out = capsys.readouterr().out.split()
-        assert out == ["figure1", "table1", "table2", "table3"]
+class TestPaperArtefacts:
+    """Tables 1-3 and Figure 1 are analyzers; the old commands are gone."""
 
-    def test_unknown_id_exits_2(self, capsys):
-        assert main(["experiments", "tableX"]) == 2
+    def test_list_names_paper_analyzers(self, capsys):
+        assert main(["list", "analyzers"]) == 0
+        out = capsys.readouterr().out
+        for name in ("table1", "table2", "table3", "figure1"):
+            assert name in out
+
+    def test_unknown_paper_analyzer_exits_2(self, paper_bm1_store, capsys):
+        assert main(["results", "report", "tableX",
+                     "--store", str(paper_bm1_store)]) == 2
         err = capsys.readouterr().err
         assert "tableX" in err and "table1" in err
 
-    def test_legacy_bare_id_shorthand(self, capsys):
-        # `python -m repro table3 ...` rewrites to the experiments
-        # subcommand; --list short-circuits before anything heavy runs.
-        assert main(["table3", "--list"]) == 0
-        out = capsys.readouterr().out.split()
-        assert "table3" in out
-
-    def test_runner_main_direct(self, capsys):
-        assert experiments_main(["--list"]) == 0
-        assert capsys.readouterr().out.split() == [
-            "figure1", "table1", "table2", "table3",
-        ]
-        assert experiments_main(["nope"]) == 2
-        assert "available" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [["experiments", "table3"], ["table3"]])
+    def test_retired_commands_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestTopLevel:
     def test_no_args_prints_help(self, capsys):
         assert main([]) == 0
         out = capsys.readouterr().out
-        for sub in ("run", "sweep", "experiments", "list"):
+        for sub in ("run", "sweep", "results", "list"):
             assert sub in out
 
     def test_help_documents_subcommands(self, capsys):
@@ -132,5 +128,5 @@ class TestTopLevel:
             main(["--help"])
         assert exit_info.value.code == 0
         out = capsys.readouterr().out
-        for sub in ("run", "sweep", "experiments", "list"):
+        for sub in ("run", "sweep", "results", "list"):
             assert sub in out

@@ -2,15 +2,12 @@
 
 import pytest
 
-from repro.experiments.paper_data import (
+from repro.results.paper import (
     PAPER_ROWS,
     TABLE1_COSYNTHESIS,
     TABLE1_PLATFORM,
     TABLE2,
     TABLE3,
-    table1_rows,
-    table2_rows,
-    table3_rows,
 )
 
 BENCHMARKS = ["Bm1", "Bm2", "Bm3", "Bm4"]
@@ -97,11 +94,3 @@ def test_table3_power_rows_match_table1_h3():
     for name in BENCHMARKS:
         assert TABLE3[name]["power_aware"] == TABLE1_PLATFORM[name]["heuristic3"]
 
-
-def test_flat_row_helpers():
-    rows1 = table1_rows()
-    assert len(rows1) == 4 * 4 * 2  # benchmarks x policies x architectures
-    assert len(table2_rows()) == 8
-    assert len(table3_rows()) == 8
-    for row in rows1 + table2_rows() + table3_rows():
-        assert "paper_max_temp" in row

@@ -43,7 +43,7 @@ def test_subpackage_alls_resolve():
         "core",
         "cosynth",
         "analysis",
-        "experiments",
+        "results",
         "extensions",
     ):
         module = importlib.import_module(f"repro.{package_name}")

@@ -106,6 +106,24 @@ class TestCompare:
         with pytest.raises(ResultError, match="nothing to compare"):
             analyze("compare", RunSet())
 
+    def test_aligns_per_flow_never_across_flows(self, paper_bm1_runs):
+        """A store holding both flows: each policy is compared with the
+        baseline inside one flow.  On the 4-PE platform heuristic3 and
+        the baseline schedule Bm1 identically, so the platform delta is
+        near zero; mixing in a co-synthesis record used to read 19.73 C."""
+        report = analyze("compare", paper_bm1_runs, baseline="baseline")
+        rows = {(row["policy"], row["flow"]): row for row in report.rows}
+        assert set(rows) == {
+            (policy, flow)
+            for policy in ("heuristic1", "heuristic2", "heuristic3", "thermal")
+            for flow in ("cosynthesis", "platform")
+        }
+        assert rows[("heuristic3", "platform")]["avg_delta"] == pytest.approx(
+            0.0, abs=0.005
+        )
+        assert all(row["benchmarks"] == 1 for row in report.rows)
+        assert rows[("thermal", "platform")]["avg_delta"] > 0
+
 
 class TestPareto:
     def test_front_is_nondominated_subset(self, runs):

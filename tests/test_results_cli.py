@@ -1,18 +1,18 @@
 """The ``results`` CLI subcommands and the --store wiring.
 
-The acceptance-criteria test lives here: a stored ``paper-tables``
-(platform subset) run must reproduce the legacy Table 3 byte-identically
-through the store alone — no flow re-execution.
+The acceptance-criteria tests live here: a stored ``paper-tables`` run
+must reproduce the paper Tables 1-3 byte for byte against the committed
+golden reports (tests/golden/) through the store alone — no flow
+re-execution.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.flow import run_many, spec_hash
-from repro.results import ResultStore
-from repro.scenarios import scenario_by_name
+from repro.results import ResultStore, RunSet, analyze
 
 
 @pytest.fixture(scope="module")
@@ -128,48 +128,62 @@ class TestResultsCommands:
             assert action in out
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _report_without_scheduling(name, runs):
+    """Render analyzer *name* over *runs*, counting scheduler runs."""
+    import repro.core.scheduler as scheduler_module
+
+    calls = {"n": 0}
+    original = scheduler_module.ListScheduler.run
+
+    def counting_run(self, *args, **kwargs):
+        calls["n"] += 1
+        return original(self, *args, **kwargs)
+
+    scheduler_module.ListScheduler.run = counting_run
+    try:
+        text = analyze(name, runs).render()
+    finally:
+        scheduler_module.ListScheduler.run = original
+    return text, calls["n"]
+
+
 class TestStoreReproducesLegacyTables:
-    def test_table3_byte_identical_from_store_alone(self, tmp_path):
-        """Acceptance: run the paper-tables platform subset into a store,
-        then rebuild Table 3 purely from the stored records."""
-        from repro.experiments.table3 import (
-            format_table3,
-            run_table3,
-            table3_rows_from_records,
-        )
+    """The golden files are the Bm1 reports of the table functions these
+    analyzers replaced; the store must reproduce them byte for byte."""
 
-        specs = [
-            s for s in scenario_by_name("paper-tables").expand()
-            if s.flow == "platform"
-            and s.policy.name in ("heuristic3", "thermal")
-        ]
-        store = ResultStore(tmp_path / "store")
-        run_many(specs, store=store, suite="paper-tables")
+    @pytest.mark.parametrize("name", ["table1", "table2"])
+    def test_cosynthesis_tables_byte_identical_from_store_alone(
+        self, name, paper_bm1_runs
+    ):
+        text, scheduler_runs = _report_without_scheduling(name, paper_bm1_runs)
+        assert scheduler_runs == 0  # reconstruction never re-executes a flow
+        assert text == (GOLDEN / f"{name}_Bm1.txt").read_text(encoding="utf-8")
 
-        import repro.core.scheduler as scheduler_module
+    def test_table3_byte_identical_from_store_alone(self, paper_bm1_runs):
+        text, scheduler_runs = _report_without_scheduling("table3", paper_bm1_runs)
+        assert scheduler_runs == 0
+        assert text == (GOLDEN / "table3_Bm1.txt").read_text(encoding="utf-8")
 
-        calls = {"n": 0}
-        original = scheduler_module.ListScheduler.run
-
-        def counting_run(self, *args, **kwargs):
-            calls["n"] += 1
-            return original(self, *args, **kwargs)
-
-        scheduler_module.ListScheduler.run = counting_run
-        try:
-            stored_rows = table3_rows_from_records(store.load())
-        finally:
-            scheduler_module.ListScheduler.run = original
-
-        assert calls["n"] == 0  # reconstruction never re-executes a flow
-        live_rows = run_table3()
-        assert stored_rows == live_rows
-        assert format_table3(stored_rows) == format_table3(live_rows)
-
-    def test_missing_record_raises_a_named_gap(self, tmp_path):
+    def test_missing_record_raises_a_named_gap(self, paper_bm1_runs, tmp_path):
         from repro.errors import ExperimentError
-        from repro.experiments.table3 import table3_rows_from_records
 
-        store = ResultStore(tmp_path / "empty")
         with pytest.raises(ExperimentError, match="Table 3 row"):
-            table3_rows_from_records(store.load())
+            analyze("table3", ResultStore(tmp_path / "empty").load())
+        # drop one stored row: the report names exactly that gap
+        thermal = [
+            r for r in paper_bm1_runs
+            if r.flow == "platform" and r.get("spec.policy.name") == "thermal"
+        ]
+        partial = RunSet(tuple(r for r in paper_bm1_runs if r not in thermal))
+        with pytest.raises(ExperimentError,
+                           match=r"Table 3 row \(Bm1, thermal_aware\)"):
+            analyze("table3", partial)
+
+    def test_paper_reports_through_cli(self, paper_bm1_store, capsys):
+        for name in ("table1", "table2", "table3", "figure1"):
+            assert main(["results", "report", name,
+                         "--store", str(paper_bm1_store)]) == 0
+            assert capsys.readouterr().out.strip()

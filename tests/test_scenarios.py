@@ -1,11 +1,12 @@
 """The scenario layer: grids, overrides, registries, suites, CLI.
 
-The load-bearing test is the paper-tables equivalence: the scenario
-expansion must contain the exact specs the legacy ``repro.experiments``
-drivers run, and executing them through ``run_many`` must reproduce the
-same evaluations byte for byte.
+The load-bearing tests are the paper-tables pins: the suite is the only
+spec list behind the paper's Tables 1-3 and Figure 1, its expansion is
+pinned spec hash by spec hash, every report row resolves to exactly one
+of its specs, and every spec feeds some row.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from repro.flow import (
     spec_hash,
 )
 from repro.flow.registry import FLOORPLANNERS, register_floorplanner
+from repro.results import RunSet, analyze, paper_specs
 from repro.scenarios import (
     ScenarioCase,
     ScenarioSpec,
@@ -273,47 +275,45 @@ class TestRegistries:
 # built-in suites
 # ----------------------------------------------------------------------
 class TestBuiltinSuites:
-    def test_paper_tables_contains_every_legacy_spec(self):
-        """Structural equivalence with the repro.experiments drivers."""
+    def test_paper_tables_expansion_pinned(self):
+        """perfbench's paper-tables workload runs this exact expansion:
+        the 44 spec hashes and their order must not move."""
+        hashes = [spec_hash(s) for s in scenario_by_name("paper-tables").expand()]
+        assert len(hashes) == len(set(hashes)) == 44
+        digest = hashlib.sha256("\n".join(hashes).encode()).hexdigest()
+        assert digest == (
+            "cba5d784088ea6f3414199897a24df35dc0a5ffd2b5a779ab7a4c2d81924d03e"
+        )
+
+    def test_paper_rows_cover_every_paper_tables_spec(self):
+        """Each table/figure row resolves to exactly one suite spec
+        (paper_specs raises otherwise) and each spec feeds some row."""
+        from repro.results.paper import PAPER_REPORTS, TABLE1_POLICIES
+
+        per_benchmark = {"table1": 2 * len(TABLE1_POLICIES), "table2": 2,
+                         "table3": 2, "figure1": 2}
+        assert set(PAPER_REPORTS) == set(per_benchmark)
+        fed = set()
+        for name, rows in per_benchmark.items():
+            specs = paper_specs(name)
+            assert len(specs) == 4 * rows
+            assert len({spec_hash(s) for s in specs}) == len(specs), name
+            fed.update(spec_hash(s) for s in specs)
         expansion = {spec_hash(s) for s in scenario_by_name("paper-tables").expand()}
-        legacy = []
-        for bm in ("Bm1", "Bm2", "Bm3", "Bm4"):
-            # table1 rows
-            legacy.append(cosynthesis_spec(
-                bm, policy="baseline",
-                final_cost="performance", screening="performance",
-            ))
-            for pol in ("heuristic1", "heuristic2", "heuristic3"):
-                legacy.append(cosynthesis_spec(
-                    bm, policy=pol, final_cost="power", screening="default",
-                ))
-                legacy.append(platform_spec(bm, policy=pol))
-            legacy.append(platform_spec(bm, policy="baseline"))
-            # table2 rows
-            legacy.append(cosynthesis_spec(bm, policy="heuristic3", final_cost="power"))
-            legacy.append(cosynthesis_spec(bm, policy="thermal", final_cost="thermal"))
-            # table3 rows
-            legacy.append(platform_spec(bm, policy="heuristic3"))
-            legacy.append(platform_spec(bm, policy="thermal"))
-        missing = [s for s in legacy if spec_hash(s) not in expansion]
-        assert not missing
+        assert fed == expansion
 
     def test_paper_tables_platform_rows_byte_identical_to_table3(self):
-        """Numeric equivalence on the (fast) platform half of the suite."""
-        from repro.experiments.table3 import run_table3
-
-        specs = [
-            s for s in scenario_by_name("paper-tables").expand()
-            if s.flow == "platform" and s.policy.name in ("heuristic3", "thermal")
-        ]
+        """Numeric equivalence on the (fast) platform half of the suite:
+        the table3 report carries each live evaluation, rounded."""
+        specs = paper_specs("table3")
         results = run_many(specs)
-        approach = {"heuristic3": "power_aware", "thermal": "thermal_aware"}
-        legacy = {
-            (row["benchmark"], row["approach"]): row for row in run_table3()
-        }
+        report = analyze(
+            "table3", RunSet(tuple(r.as_record() for r in results))
+        )
         assert len(specs) == 8
-        for spec, result in zip(specs, results):
-            row = legacy[(spec.graph.name, approach[spec.policy.name])]
+        assert all(s.flow == "platform" for s in specs)
+        for spec, result, row in zip(specs, results, report.rows):
+            assert row["benchmark"] == spec.graph.name
             evaluation = result.evaluation
             assert round(evaluation.total_power, 2) == row["total_pow"]
             assert round(evaluation.max_temperature, 2) == row["max_temp"]

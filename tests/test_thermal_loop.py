@@ -61,9 +61,10 @@ class TestThermalScheduler:
 
 
 class TestCLI:
-    def test_module_entry_point_runs_one_experiment(self):
+    def test_module_entry_point_runs_one_experiment(self, paper_bm1_store):
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "table3"],
+            [sys.executable, "-m", "repro", "results", "report", "table3",
+             "--store", str(paper_bm1_store)],
             capture_output=True,
             text=True,
             timeout=600,
@@ -72,16 +73,17 @@ class TestCLI:
         assert "Table 3" in completed.stdout
         assert "thermal_aware" in completed.stdout
 
-    def test_runner_rejects_unknown_experiment(self):
-        from repro.errors import ExperimentError
-        from repro.experiments.runner import run_experiment
+    def test_runner_rejects_unknown_experiment(self, paper_bm1_runs):
+        from repro.errors import FlowError
+        from repro.results import analyze
 
-        with pytest.raises(ExperimentError):
-            run_experiment("nonexistent")
+        with pytest.raises(FlowError, match="unknown analyzer"):
+            analyze("nonexistent", paper_bm1_runs)
 
-    def test_runner_main_returns_zero(self, capsys):
-        from repro.experiments.runner import main
+    def test_runner_main_returns_zero(self, paper_bm1_store, capsys):
+        from repro.cli import main
 
-        assert main(["table3"]) == 0
+        assert main(["results", "report", "table3",
+                     "--store", str(paper_bm1_store)]) == 0
         captured = capsys.readouterr()
         assert "Table 3" in captured.out
